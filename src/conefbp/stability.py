@@ -7,11 +7,13 @@ infimum of the boundary Rayleigh quotient
 
     E(F) = int_G g^ij F_i F_j  /  int_dG H F^2 dsigma
 
-over axisymmetric F vanishing on the spherical ends of an annulus, so a
-discrete inverse iteration on that quotient cross-checks the closed
-form.  A radial test function exhibits the loss of stability for large
-slopes, the critical slope is bisected from the sign of the margin, and
-the connectivity bound from the radial second variation is audited.
+over axisymmetric F vanishing on the spherical ends of an annulus.  On a
+log-r grid the discrete quotient separates into radial modes, so its
+exact minimum (one radial eigenvalue and one angular solve) cross-checks
+the closed form.  A radial test function exhibits the loss of stability
+for large slopes, the critical slope is bisected from the sign of the
+margin, and the connectivity bound from the radial second variation is
+audited.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailureError,
     InvalidBracketError,
     InvalidParameterError,
     InvalidTestFunctionError,
     PropertyViolationError,
 )
+from .grid import edge_apply
 from .ode import beta_half_profile, symmetric_solution
-from .quadrature import simpson_uniform
+from .quadrature import simpson_uniform, trapezoid_weights
 
 __all__ = [
     "StabilityReport",
@@ -247,72 +249,56 @@ def second_variation_deficit(c, F, annulus, num_r=801, num_phi=401, fd_h=1e-6, s
     return float(dirichlet - boundary)
 
 
-def _edge_apply(u, wr, wp):
-    out = np.zeros_like(u)
-    d = wr * (u[1:, :] - u[:-1, :])
-    out[1:, :] += d
-    out[:-1, :] -= d
-    e = wp * (u[:, 1:] - u[:, :-1])
-    out[:, 1:] += e
-    out[:, :-1] -= e
-    return out
+def _annulus(c, R, num_r, num_phi, step):
+    """Log-r annulus grid on (1/R, R) x [0, phi0] and its separable edge weights.
+
+    The discrete form int [F_rho^2/(1+c^2) + F_phi^2] e^rho sin(phi) has
+    radial edge weights a_i d_j and angular edge weights m_i b_j; the
+    free-boundary mass is |t0| m_i on the last phi column.  Returns
+    (rho, phi, (a, d, m, b), |t0|).
+    """
+    c = float(c)
+    R = float(R)
+    if not (math.isfinite(c) and c > 0.0):
+        raise InvalidParameterError("boundary quotient needs finite c > 0 so the curvature is positive")
+    if not (math.isfinite(R) and R >= 4.0):
+        raise InvalidParameterError("annulus ratio R must be finite and at least 4")
+    if num_r < 3 or num_phi < 2:
+        raise InvalidParameterError("annulus grid needs num_r >= 3 and num_phi >= 2")
+    sol = symmetric_solution(c, step=step)
+    rho_max = math.log(R)
+    rho = np.linspace(-rho_max, rho_max, num_r)
+    phi = np.linspace(0.0, sol.phi0, num_phi)
+    a = np.exp(0.5 * (rho[1:] + rho[:-1])) / (rho[1] - rho[0])
+    d = np.sin(phi) * trapezoid_weights(phi) / (1.0 + c * c)
+    m = np.exp(rho) * trapezoid_weights(rho)
+    b = np.sin(0.5 * (phi[1:] + phi[:-1])) / (phi[1] - phi[0])
+    return rho, phi, (a, d, m, b), abs(sol.t0)
 
 
-def _edge_diag(wr, wp, shape):
-    diag = np.zeros(shape)
-    diag[1:, :] += wr
-    diag[:-1, :] += wr
-    diag[:, 1:] += wp
-    diag[:, :-1] += wp
-    return diag
+def _stiffness(w):
+    """Dense 1-D stiffness matrix of the edge weights w, free at both ends."""
+    k = np.zeros((len(w) + 1, len(w) + 1))
+    i = np.arange(len(w))
+    k[i, i] += w
+    k[i + 1, i + 1] += w
+    k[i, i + 1] = k[i + 1, i] = -w
+    return k
 
 
-def _pcg(apply_a, b, x0, diag, tol, max_iter):
-    x = x0.copy()
-    r = b - apply_a(x)
-    z = r / diag
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), []
-    log = []
-    for it in range(max_iter):
-        ap = apply_a(p)
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        res = float(np.linalg.norm(r)) / bnorm
-        if it % 50 == 0 or res <= tol:
-            log.append((it, res))
-        if res <= tol:
-            return x, log
-        z = r / diag
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise ConvergenceFailureError(f"conjugate gradient stalled at relative residual {res:.3e}", log=log, iterate=x)
-
-
-def steklov_min_quotient(
-    c,
-    R,
-    num_r=257,
-    num_phi=129,
-    tol=1e-10,
-    max_iter=200,
-    step=_SWEEP_STEP,
-    cg_tol=1e-12,
-    cg_max_iter=40000,
-) -> float:
+def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> float:
     """Minimum of the discrete boundary Rayleigh quotient on (1/R, R).
 
     Discretizes axisymmetric fields on a grid uniform in log r (which
     resolves the near-optimal r^(-1/2) profile with few nodes) and in
     phi on [0, phi0], with fields vanishing at both radial ends, and
-    runs inverse power iteration on the generalized eigenproblem
-    A F = lambda B F, where A is the metric Dirichlet form and B the
-    free-boundary mass weighted by the mean curvature.
+    returns the smallest eigenvalue of A F = lambda B F, where A is the
+    metric Dirichlet form and B the free-boundary mass weighted by the
+    mean curvature.  Both are tensor products, A = K (x) D + M (x) L and
+    B = |t0| M (x) e e^T, so the problem separates (fast diagonalization,
+    Lynch, Rice & Thomas 1964): radial mode mu with K v = mu M v gives
+    lambda(mu) = 1 / (|t0| e^T (mu D + L)^-1 e), increasing in mu, and
+    the minimum is exact at the lowest radial eigenvalue mu_1.
 
     The zero radial ends raise the lowest radial mode of F = e^(-rho/2)
     v(rho) h(phi) from 1/4 to mu_R = 1/4 + pi^2 / (4 log^2 R).  As the
@@ -322,60 +308,14 @@ def steklov_min_quotient(
     ``stability_margin`` (mu = 1/4); the gap to that ratio decays like
     1/log^2 R.
     """
-    c = float(c)
-    if c <= 0.0:
-        raise InvalidParameterError("boundary quotient needs c > 0 so the curvature is positive")
-    if R < 4.0:
-        raise InvalidParameterError("annulus ratio R must be at least 4")
-    sol = symmetric_solution(c, step=step)
-    rho_max = math.log(R)
-    rho = np.linspace(-rho_max, rho_max, num_r)
-    phi = np.linspace(0.0, sol.phi0, num_phi)
-    drho = rho[1] - rho[0]
-    dphi = phi[1] - phi[0]
-    rho_cell = np.full(num_r, drho)
-    rho_cell[[0, -1]] = 0.5 * drho
-    phi_cell = np.full(num_phi, dphi)
-    phi_cell[[0, -1]] = 0.5 * dphi
-    one = 1.0 + c * c
-    # Dirichlet form int [F_rho^2/(1+c^2) + F_phi^2] e^rho sin(phi)
-    erho_mid = np.exp(0.5 * (rho[1:] + rho[:-1]))
-    wr = (erho_mid[:, None] * np.sin(phi)[None, :] / one) * (phi_cell[None, :] / drho)
-    sin_mid = np.sin(0.5 * (phi[1:] + phi[:-1]))
-    wp = (np.exp(rho)[:, None] * sin_mid[None, :]) * (rho_cell[:, None] / dphi)
-    bdiag = np.zeros((num_r, num_phi))
-    bdiag[:, -1] = abs(sol.t0) * np.exp(rho) * rho_cell
-
-    free = np.ones((num_r, num_phi), dtype=bool)
-    free[0, :] = False
-    free[-1, :] = False
-
-    def apply_a(u):
-        out = _edge_apply(u, wr, wp)
-        out[~free] = 0.0
-        return out
-
-    diag = _edge_diag(wr, wp, (num_r, num_phi))
-    diag[~free] = 1.0
-
-    x = np.zeros((num_r, num_phi))
-    x[free] = 1.0
-    bx = bdiag * x
-    lam_prev = math.inf
-    for _ in range(max_iter):
-        y, _ = _pcg(apply_a, np.where(free, bx, 0.0), x, diag, cg_tol, cg_max_iter)
-        y[~free] = 0.0
-        nrm = math.sqrt(float(np.sum(bdiag * y * y)))
-        if nrm == 0.0:
-            raise ConvergenceFailureError("iterate lost mass on the free boundary row")
-        y /= nrm
-        lam = float(np.sum(y * _edge_apply(y, wr, wp)))
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            return lam
-        lam_prev = lam
-        x = y
-        bx = bdiag * x
-    raise ConvergenceFailureError(f"inverse iteration did not settle after {max_iter} sweeps")
+    _, _, (a, d, m, b), t0_abs = _annulus(c, R, num_r, num_phi, step)
+    scale = 1.0 / np.sqrt(m[1:-1])
+    k = _stiffness(a)[1:-1, 1:-1]
+    mu1 = np.linalg.eigvalsh(scale[:, None] * k * scale[None, :])[0]
+    e_last = np.zeros(num_phi)
+    e_last[-1] = 1.0
+    h = np.linalg.solve(mu1 * np.diag(d) + _stiffness(b), e_last)
+    return float(1.0 / (t0_abs * h[-1]))
 
 
 def steklov_trial_quotient(
@@ -390,29 +330,14 @@ def steklov_trial_quotient(
     the separated power-law profile the radial fluxes cancel and the
     quotient collapses to the closed form at any annulus.
     """
-    c = float(c)
-    sol = symmetric_solution(c, step=step)
-    rho_max = math.log(R)
-    rho = np.linspace(-rho_max, rho_max, num_r)
-    phi = np.linspace(0.0, sol.phi0, num_phi)
-    drho = rho[1] - rho[0]
-    dphi = phi[1] - phi[0]
-    rho_cell = np.full(num_r, drho)
-    rho_cell[[0, -1]] = 0.5 * drho
-    phi_cell = np.full(num_phi, dphi)
-    phi_cell[[0, -1]] = 0.5 * dphi
-    one = 1.0 + c * c
-    erho_mid = np.exp(0.5 * (rho[1:] + rho[:-1]))
-    wr = (erho_mid[:, None] * np.sin(phi)[None, :] / one) * (phi_cell[None, :] / drho)
-    sin_mid = np.sin(0.5 * (phi[1:] + phi[:-1]))
-    wp = (np.exp(rho)[:, None] * sin_mid[None, :]) * (rho_cell[:, None] / dphi)
+    rho, phi, (a, d, m, b), t0_abs = _annulus(c, R, num_r, num_phi, step)
     rr, pp = np.meshgrid(rho, phi, indexing="ij")
     x = np.asarray(trial(rr, pp), dtype=float)
     if clamp_ends:
         x[0, :] = 0.0
         x[-1, :] = 0.0
-    num = float(np.sum(x * _edge_apply(x, wr, wp)))
-    den = float(np.sum(abs(sol.t0) * np.exp(rho) * rho_cell * x[:, -1] ** 2))
+    num = float(np.sum(x * edge_apply(x, np.outer(a, d), np.outer(m, b))))
+    den = float(t0_abs * np.sum(m * x[:, -1] ** 2))
     if den <= 0.0:
         raise InvalidTestFunctionError("trial carries no mass on the free boundary row")
     return num / den

@@ -97,6 +97,10 @@ class TestExitCodes:
         # an absurd annulus triggers the invalid-parameter path instead
         assert main(["steklov", "--c", "0.2", "--R", "2", "--out", str(tmp_path)]) == 2
 
+    def test_steklov_rejects_non_finite_ratio(self, tmp_path):
+        for R in ("nan", "inf"):
+            assert main(["steklov", "--c", "0.2", "--R", R, "--out", str(tmp_path)]) == 2
+
 
 class TestSweep:
     def test_stability_sweep(self, tmp_path):

@@ -20,7 +20,7 @@ from conefbp.stability import (
     steklov_trial_quotient,
 )
 
-from conftest import legendre_series
+from conftest import annulus_steklov_quotient, legendre_series
 
 # regression anchor, stable to < 1e-7 under ODE step halving (1e-3 -> 5e-4)
 C0_ANCHOR = 0.5884039
@@ -176,6 +176,12 @@ class TestSecondVariationDeficit:
             second_variation_deficit(0.1, bad, (0.3, 0.8))
 
 
+def _ramp_trial(rho, phi):
+    width = rho.max() - rho.min()
+    ramp = np.minimum(1.0, 5.0 * np.minimum(rho - rho.min(), rho.max() - rho) / width)
+    return ramp * np.exp(0.2 * np.cos(phi))
+
+
 class TestSteklov:
     def test_matches_closed_form_structure(self):
         # small grids for speed: the minimum sits above the closed form
@@ -205,12 +211,7 @@ class TestSteklov:
     def test_trial_function_upper_bounds_minimum(self):
         lam = steklov_min_quotient(0.2, 8.0, num_r=97, num_phi=49)
 
-        def trial(rho, phi):
-            width = rho.max() - rho.min()
-            ramp = np.minimum(1.0, 5.0 * np.minimum(rho - rho.min(), rho.max() - rho) / width)
-            return ramp * np.exp(0.2 * np.cos(phi))
-
-        q = steklov_trial_quotient(0.2, 8.0, trial, num_r=97, num_phi=49)
+        q = steklov_trial_quotient(0.2, 8.0, _ramp_trial, num_r=97, num_phi=49)
         assert q >= lam - 1e-9
 
     def test_requires_positive_curvature(self):
@@ -218,6 +219,83 @@ class TestSteklov:
             steklov_min_quotient(0.0, 8.0)
         with pytest.raises(InvalidParameterError):
             steklov_min_quotient(0.2, 2.0)
+
+    @pytest.mark.parametrize(
+        "c, R, grid",
+        [
+            (0.0, 8.0, (65, 33)),
+            (-0.2, 8.0, (65, 33)),
+            (math.nan, 8.0, (65, 33)),
+            (math.inf, 8.0, (65, 33)),
+            (0.2, 2.0, (65, 33)),
+            (0.2, math.nan, (65, 33)),
+            (0.2, math.inf, (65, 33)),
+            (0.2, 8.0, (2, 33)),
+            (0.2, 8.0, (65, 1)),
+        ],
+    )
+    def test_entry_points_validate_inputs(self, c, R, grid):
+        with pytest.raises(InvalidParameterError):
+            steklov_min_quotient(c, R, num_r=grid[0], num_phi=grid[1])
+        with pytest.raises(InvalidParameterError):
+            steklov_trial_quotient(c, R, _ramp_trial, num_r=grid[0], num_phi=grid[1])
+
+    @staticmethod
+    def _dense_min_quotient(c, R, num_r, num_phi):
+        # the discrete form assembled edge by edge, minimized by a dense
+        # generalized eigensolve on the free nodes
+        from conefbp.ode import symmetric_solution
+
+        sol = symmetric_solution(c, step=1e-3)
+        rho = np.linspace(-math.log(R), math.log(R), num_r)
+        phi = np.linspace(0.0, sol.phi0, num_phi)
+        drho, dphi = rho[1] - rho[0], phi[1] - phi[0]
+        rho_w = np.full(num_r, drho)
+        rho_w[[0, -1]] *= 0.5
+        phi_w = np.full(num_phi, dphi)
+        phi_w[[0, -1]] *= 0.5
+        n = num_r * num_phi
+        A = np.zeros((n, n))
+        B = np.zeros((n, n))
+
+        def edge(p, q, w):
+            A[p, p] += w
+            A[q, q] += w
+            A[p, q] -= w
+            A[q, p] -= w
+
+        for i in range(num_r):
+            for j in range(num_phi):
+                p = i * num_phi + j
+                if i + 1 < num_r:
+                    r_mid = math.exp(0.5 * (rho[i] + rho[i + 1]))
+                    edge(p, p + num_phi, r_mid * math.sin(phi[j]) * phi_w[j] / ((1.0 + c * c) * drho))
+                if j + 1 < num_phi:
+                    s_mid = math.sin(0.5 * (phi[j] + phi[j + 1]))
+                    edge(p, p + 1, math.exp(rho[i]) * rho_w[i] * s_mid / dphi)
+            B[i * num_phi + num_phi - 1, i * num_phi + num_phi - 1] = abs(sol.t0) * math.exp(rho[i]) * rho_w[i]
+        free = np.arange(num_phi, n - num_phi)
+        Af = A[np.ix_(free, free)]
+        Bf = B[np.ix_(free, free)]
+        return 1.0 / np.linalg.eigvals(np.linalg.solve(Af, Bf)).real.max()
+
+    def test_matches_dense_generalized_eigensolve(self):
+        oracle = self._dense_min_quotient(0.2, 8.0, 9, 7)
+        lam = steklov_min_quotient(0.2, 8.0, num_r=9, num_phi=7)
+        assert abs(lam / oracle - 1.0) <= 1e-10, (lam, oracle)
+
+        assert lam <= steklov_trial_quotient(0.2, 8.0, _ramp_trial, num_r=9, num_phi=7)
+
+    @pytest.mark.parametrize("R", [1e3, 1e6])
+    def test_large_annulus_matches_series_oracle(self, R):
+        exact = annulus_steklov_quotient(0.2, R)
+        assert abs(steklov_min_quotient(0.2, R) / exact - 1.0) <= 1e-3
+
+    def test_second_order_grid_convergence(self):
+        exact = annulus_steklov_quotient(0.2, 32.0)
+        coarse = abs(steklov_min_quotient(0.2, 32.0, num_r=257, num_phi=129) - exact)
+        fine = abs(steklov_min_quotient(0.2, 32.0, num_r=513, num_phi=257) - exact)
+        assert 3.0 <= coarse / fine <= 5.0, (coarse, fine)
 
 
 class TestConnectivityBound:
