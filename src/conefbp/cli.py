@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -140,15 +139,17 @@ def _cmd_steklov(args, out):
     return payload, [name]
 
 
+def _minimize_against_symmetric(c, step, grid):
+    """Minimize with the symmetric solution as data at r = 1; returns (result, reference field)."""
+    sol = symmetric_solution(c, step=step)
+    ref = field_from_solution(sol, grid[0], grid[1])
+    # the reference grid ends at r = 1, so its last row is the boundary data
+    res = minimize(MinimizeConfig(c=c, nr=grid[0], nphi=grid[1]), ref.values[-1])
+    return res, ref
+
+
 def _cmd_minimize(args, out):
-    sol = symmetric_solution(args.c, step=args.step)
-    cfg = MinimizeConfig(c=args.c, nr=args.grid[0], nphi=args.grid[1])
-    phis = np.linspace(0.0, math.pi, cfg.nphi)
-    inside = phis < sol.phi0
-    bdry = np.zeros(cfg.nphi)
-    bdry[inside] = np.clip(sol.profile.sample(phis[inside])[0], 0.0, None)
-    res = minimize(cfg, bdry)
-    ref = field_from_solution(sol, cfg.nr, cfg.nphi)
+    res, ref = _minimize_against_symmetric(args.c, args.step, args.grid)
     sup, gap, touch = compare_to_symmetric(res.field, reference=ref)
     payload = {
         "c": args.c,
@@ -244,19 +245,21 @@ def _sweep_point(task):
         if name == "morgan":
             return ("ok", (int(value), morgan_threshold(int(value))))
         if name == "minimize":
-            sol = symmetric_solution(value, step=args_dict["step"])
-            cfg = MinimizeConfig(c=value, nr=args_dict["grid"][0], nphi=args_dict["grid"][1])
-            phis = np.linspace(0.0, math.pi, cfg.nphi)
-            inside = phis < sol.phi0
-            bdry = np.zeros(cfg.nphi)
-            bdry[inside] = np.clip(sol.profile.sample(phis[inside])[0], 0.0, None)
-            res = minimize(cfg, bdry)
-            ref = field_from_solution(sol, cfg.nr, cfg.nphi)
+            res, ref = _minimize_against_symmetric(value, args_dict["step"], args_dict["grid"])
             _, gap, touch = compare_to_symmetric(res.field, reference=ref)
             return ("ok", (value, res.energy, gap, res.fb_mean, touch))
         return ("error: unknown subcommand", None)
     except Exception as exc:  # per-point failures land in the row status
         return (f"error: {exc}", None)
+
+
+def _worker_count(jobs, num_tasks) -> int:
+    """Sweep processes to start: at most one per task and per CPU.
+
+    Under the fork start method the pool starts all of its workers up
+    front, whatever the number of tasks.
+    """
+    return max(1, min(jobs, num_tasks, os.cpu_count() or 1))
 
 
 def _cmd_sweep(args, out):
@@ -267,8 +270,9 @@ def _cmd_sweep(args, out):
     header = _SWEEP_COLUMNS[sub] + ("status",)
     shared = {"step": args.step, "grid": args.grid}
     tasks = [(sub, v, shared) for v in grid_values]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _worker_count(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]

@@ -12,7 +12,11 @@ phi_eps = 10 * step (the cot singularity is removable only through the
 series), carry dense cubic Hermite output, and verify themselves by
 mandatory step halving.  First zeros that sit exponentially close to
 the far pole are located in the stretched variable tau = log tan(phi/2),
-where the equation becomes the smooth u'' = -lam sech(tau)^2 u.
+where the equation becomes the smooth u'' = -lam sech(tau)^2 u.  Both
+charts are linear, y'' = p y' + q y, so one RK4 loop integrates them
+from coefficient streams (p = -cot phi, q = -lam on the angular grid;
+p = 0, q = -lam sech^2 tau on the tail) and one Hermite evaluator gives
+dense (value, slope) output on either.
 
 The module produces the normalized symmetric solution (beta = 1 profile
 rescaled to unit slope at its first zero) and the beta = -1/2 comparison
@@ -22,7 +26,9 @@ profiles whose logarithmic derivative drives the stability criterion.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -78,101 +84,89 @@ def pole_series(lam: float, phi, f0: float = 1.0, order: int = 6):
     return f0 * f, f0 * fp
 
 
+def _rk4(y, yp, h, p, q):
+    """Classical RK4 for y'' = p y' + q y from (y, yp) in steps of h.
+
+    p and q are iterables of the coefficients at the half-step nodes
+    x0, x0 + h/2, x0 + h, ...; the shorter of them sets the number of
+    steps (2n+1 coefficients give n steps).  Returns (y, y') at the
+    n+1 step nodes, starting with the initial data.
+    """
+    p = iter(p)
+    q = iter(q)
+    p0 = next(p)
+    q0 = next(q)
+    ys = array("d", [y])
+    yps = array("d", [yp])
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    for pm, p1, qm, q1 in zip(p, p, q, q):
+        l1 = p0 * yp + q0 * y
+        y2 = y + h2 * yp
+        p2 = yp + h2 * l1
+        l2 = pm * p2 + qm * y2
+        y3 = y + h2 * p2
+        p3 = yp + h2 * l2
+        l3 = pm * p3 + qm * y3
+        y4 = y + h * p3
+        p4 = yp + h * l3
+        l4 = p1 * p4 + q1 * y4
+        y = y + h6 * (yp + 2.0 * (p2 + p3) + p4)
+        yp = yp + h6 * (l1 + 2.0 * (l2 + l3) + l4)
+        ys.append(y)
+        yps.append(yp)
+        p0, q0 = p1, q1
+    return np.frombuffer(ys), np.frombuffer(yps)
+
+
 def _rk4_angular(lam: float, step: float, phi_max: float):
-    """Fixed-step RK4 on [10*step, phi_max] with the series start."""
+    """RK4 for f'' = -cot(phi) f' - lam f on [10*step, phi_max] with the series start."""
     phi_eps = 10.0 * step
     n = int((phi_max - phi_eps) / step + 1e-9)
     if n < 8:
         raise InvalidParameterError("angular range too short for the requested step")
     # nodes as integer multiples of the step: exact when step is a power of two
     grid = step * np.arange(10, 11 + n)
-    f = np.empty(n + 1)
-    fp = np.empty(n + 1)
+    # math.tan, not np.tan: the two differ in the last bit at some nodes
+    tan = math.tan
+    p = (-1.0 / tan((10.0 + 0.5 * k) * step) for k in range(2 * n + 1))
     y = 1.0 - 0.25 * lam * phi_eps * phi_eps
     yp = -0.5 * lam * phi_eps
-    f[0] = y
-    fp[0] = yp
-    h = step
-    h6 = h / 6.0
-    tan = math.tan
-    for i in range(1, n + 1):
-        phi = (9.0 + i) * h
-        c0 = 1.0 / tan(phi)
-        cm = 1.0 / tan((9.5 + i) * h)
-        c1 = 1.0 / tan((10.0 + i) * h)
-        h2 = 0.5 * h
-        k1 = yp
-        l1 = -(c0 * yp + lam * y)
-        y2 = y + h2 * k1
-        p2 = yp + h2 * l1
-        k2 = p2
-        l2 = -(cm * p2 + lam * y2)
-        y3 = y + h2 * k2
-        p3 = yp + h2 * l2
-        k3 = p3
-        l3 = -(cm * p3 + lam * y3)
-        y4 = y + h * k3
-        p4 = yp + h * l3
-        k4 = p4
-        l4 = -(c1 * p4 + lam * y4)
-        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        yp = yp + h6 * (l1 + 2.0 * (l2 + l3) + l4)
-        f[i] = y
-        fp[i] = yp
+    f, fp = _rk4(y, yp, step, p, repeat(-lam))
     return grid, f, fp
 
 
-def _rk4_tail(lam: float, tau0: float, u0: float, up0: float, h: float, n: int):
-    """RK4 for u'' = -lam sech(tau)^2 u starting at (tau0, u0, up0)."""
-    tau = np.empty(n + 1)
-    u = np.empty(n + 1)
-    up = np.empty(n + 1)
-    tau[0], u[0], up[0] = tau0, u0, up0
-    y, yp = u0, up0
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    cosh = math.cosh
-    for i in range(1, n + 1):
-        t = tau0 + (i - 1) * h
-        s0 = 1.0 / cosh(t)
-        sm = 1.0 / cosh(t + h2)
-        s1 = 1.0 / cosh(t + h)
-        w0 = -lam * s0 * s0
-        wm = -lam * sm * sm
-        w1 = -lam * s1 * s1
-        k1 = yp
-        l1 = w0 * y
-        y2 = y + h2 * k1
-        p2 = yp + h2 * l1
-        k2 = p2
-        l2 = wm * y2
-        y3 = y + h2 * k2
-        p3 = yp + h2 * l2
-        k3 = p3
-        l3 = wm * y3
-        y4 = y + h * k3
-        p4 = yp + h * l3
-        k4 = p4
-        l4 = w1 * y4
-        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        yp = yp + h6 * (l1 + 2.0 * (l2 + l3) + l4)
-        tau[i] = tau0 + i * h
-        u[i] = y
-        up[i] = yp
-    return tau, u, up
+def _tail_q(lam: float, tau: np.ndarray) -> np.ndarray:
+    """Coefficient -lam sech(tau)^2 of the tail chart u'' = q u."""
+    # sech^2 underflows to zero long before cosh overflows at tau ~ 710
+    s = 1.0 / np.cosh(np.minimum(tau, 700.0))
+    return -lam * s * s
 
 
-def _hermite_value(x0, x1, y0, y1, d0, d1, x):
-    h = x1 - x0
+def _hermite(xs, ys, ds, dds, i, x):
+    """Cubic Hermite (value, slope) at x on the interval [xs[i], xs[i+1]].
+
+    The value interpolates ys with slopes ds, the slope interpolates ds
+    with slopes dds.  i and x may be scalars or matching arrays.
+    """
+    x0 = xs[i]
+    h = xs[i + 1] - x0
     t = (x - x0) / h
     t2 = t * t
     t3 = t2 * t
+    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
+    h10 = (t3 - 2.0 * t2 + t) * h
+    h01 = -2.0 * t3 + 3.0 * t2
+    h11 = (t3 - t2) * h
     return (
-        (2.0 * t3 - 3.0 * t2 + 1.0) * y0
-        + (t3 - 2.0 * t2 + t) * h * d0
-        + (-2.0 * t3 + 3.0 * t2) * y1
-        + (t3 - t2) * h * d1
+        h00 * ys[i] + h10 * ds[i] + h01 * ys[i + 1] + h11 * ds[i + 1],
+        h00 * ds[i] + h10 * dds[i] + h01 * ds[i + 1] + h11 * dds[i + 1],
     )
+
+
+def _interval(xs, x) -> int:
+    """Index i of the interval [xs[i], xs[i+1]] holding the scalar x, clamped to the ends."""
+    return min(max(int(np.searchsorted(xs, x)) - 1, 0), len(xs) - 2)
 
 
 def tau_of_phi(phi: float) -> float:
@@ -223,35 +217,41 @@ class RadialProfile:
 
     def ensure_tail(self, tau_target: float) -> None:
         """Extend the stretched-variable tail at least to tau_target."""
-        h = self._tail_step()
         if self._tail_tau is None:
-            tau0 = tau_of_phi(self.grid[-1])
-            u0 = float(self.values[-1])
-            up0 = float(self.derivs[-1]) * math.sin(self.grid[-1])
+            phi = float(self.grid[-1])
+            self._tail_tau = np.array([tau_of_phi(phi)])
+            self._tail_u = self.values[-1:].copy()
+            self._tail_up = np.array([float(self.derivs[-1]) * math.sin(phi)])
+        h = self._tail_step()
+        # the first piece reaches past the grid end even for targets short of it
+        while self._tail_tau.size == 1 or self._tail_tau[-1] < tau_target:
+            tau0 = float(self._tail_tau[-1])
             n = max(8, int(math.ceil((max(tau_target, tau0) - tau0 + _TAIL_PAD) / h)))
-            self._tail_tau, self._tail_u, self._tail_up = _rk4_tail(self.lam, tau0, u0, up0, h, n)
-        while self._tail_tau[-1] < tau_target:
-            n = max(8, int(math.ceil((tau_target - self._tail_tau[-1] + _TAIL_PAD) / h)))
-            tau, u, up = _rk4_tail(
-                self.lam, float(self._tail_tau[-1]), float(self._tail_u[-1]), float(self._tail_up[-1]), h, n
-            )
-            self._tail_tau = np.concatenate([self._tail_tau, tau[1:]])
+            q = _tail_q(self.lam, tau0 + 0.5 * h * np.arange(2 * n + 1))
+            # a memoryview streams Python floats without a list of them
+            u, up = _rk4(float(self._tail_u[-1]), float(self._tail_up[-1]), h, repeat(0.0), memoryview(q))
+            self._tail_tau = np.concatenate([self._tail_tau, tau0 + h * np.arange(1, n + 1)])
             self._tail_u = np.concatenate([self._tail_u, u[1:]])
             self._tail_up = np.concatenate([self._tail_up, up[1:]])
 
     def _tail_eval(self, tau: float):
+        """(u, du/dtau) at one stretched coordinate."""
         self.ensure_tail(tau)
-        tt = self._tail_tau
-        i = min(max(int(np.searchsorted(tt, tau)) - 1, 0), len(tt) - 2)
-        lam = self.lam
+        i = _interval(self._tail_tau, tau)
+        tt = self._tail_tau[i : i + 2]
+        u = self._tail_u[i : i + 2]
+        return _hermite(tt, u, self._tail_up[i : i + 2], _tail_q(self.lam, tt) * u, 0, tau)
 
-        def curv(k):
-            s = 1.0 / math.cosh(tt[k])
-            return -lam * s * s * self._tail_u[k]
+    def value_and_deriv_at_tau(self, tau: float):
+        """Dense (f, f') at phi = phi_of_tau(tau) through the tail.
 
-        u = _hermite_value(tt[i], tt[i + 1], self._tail_u[i], self._tail_u[i + 1], self._tail_up[i], self._tail_up[i + 1], tau)
-        up = _hermite_value(tt[i], tt[i + 1], self._tail_up[i], self._tail_up[i + 1], curv(i), curv(i + 1), tau)
-        return u, up
+        tau keeps the digits that phi loses near pi, where phi may even
+        round to pi.  tau must lie beyond the angular grid.
+        """
+        tau = float(tau)
+        u, up = self._tail_eval(tau)
+        # f' = u' / sin(phi) with sin(phi) = sech(tau)
+        return float(u), float(up * math.cosh(tau))
 
     def value_and_deriv(self, phi: float):
         """Dense (f, f') at a single angle, tail-aware beyond the grid."""
@@ -263,15 +263,9 @@ class RadialProfile:
         if phi >= math.pi:
             raise PoleCollisionError("profile evaluation at or beyond phi = pi")
         if phi <= g[-1]:
-            i = min(max(int(np.searchsorted(g, phi)) - 1, 0), len(g) - 2)
-            fpp = self.second_derivs()
-            f = _hermite_value(g[i], g[i + 1], self.values[i], self.values[i + 1], self.derivs[i], self.derivs[i + 1], phi)
-            fp = _hermite_value(g[i], g[i + 1], self.derivs[i], self.derivs[i + 1], fpp[i], fpp[i + 1], phi)
+            f, fp = _hermite(g, self.values, self.derivs, self.second_derivs(), _interval(g, phi), phi)
             return float(f), float(fp)
-        tau = tau_of_phi(phi)
-        u, up = self._tail_eval(tau)
-        # f' = u' / sin(phi) with sin(phi) = sech(tau)
-        return float(u), float(up * math.cosh(tau))
+        return self.value_and_deriv_at_tau(tau_of_phi(phi))
 
     def sample(self, phis):
         """Vectorized dense (f, f') on an array of angles."""
@@ -281,9 +275,7 @@ class RadialProfile:
         fp = np.empty_like(phis)
         below = phis <= g[0]
         if below.any():
-            fb, fpb = pole_series(self.lam, phis[below], f0=self.f0, order=2)
-            f[below] = fb
-            fp[below] = fpb
+            f[below], fp[below] = pole_series(self.lam, phis[below], f0=self.f0, order=2)
         beyond = phis > g[-1]
         for k in np.nonzero(beyond)[0]:
             f[k], fp[k] = self.value_and_deriv(float(phis[k]))
@@ -291,28 +283,7 @@ class RadialProfile:
         if mid.any():
             x = phis[mid]
             i = np.clip(np.searchsorted(g, x) - 1, 0, len(g) - 2)
-            fpp = self.second_derivs()
-            x0 = g[i]
-            h = g[i + 1] - g[i]
-            t = (x - x0) / h
-            t2 = t * t
-            t3 = t2 * t
-            h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-            h10 = t3 - 2.0 * t2 + t
-            h01 = -2.0 * t3 + 3.0 * t2
-            h11 = t3 - t2
-            f[mid] = (
-                h00 * self.values[i]
-                + h10 * h * self.derivs[i]
-                + h01 * self.values[i + 1]
-                + h11 * h * self.derivs[i + 1]
-            )
-            fp[mid] = (
-                h00 * self.derivs[i]
-                + h10 * h * fpp[i]
-                + h01 * self.derivs[i + 1]
-                + h11 * h * fpp[i + 1]
-            )
+            f[mid], fp[mid] = _hermite(g, self.values, self.derivs, self.second_derivs(), i, x)
         return f, fp
 
     def value(self, phi):
@@ -439,16 +410,16 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
     return RadialProfile(beta, c, grid, f, fp, 1.0, step)
 
 
-def _bracketed_newton(fun, dfun, a, b, fa, fb, tol=1e-13, max_iter=120):
-    # orientation-free bracketed Newton with bisection fallback
+def _bracketed_newton(fun, a, b, fa, fb, tol=1e-13, max_iter=120):
+    # orientation-free bracketed Newton with bisection fallback; fun(x)
+    # returns the value and the derivative together
     x = 0.5 * (a + b)
     for _ in range(max_iter):
-        fx = fun(x)
+        fx, d = fun(x)
         if fa * fx > 0.0:
             a, fa = x, fx
         else:
             b, fb = x, fx
-        d = dfun(x)
         if d != 0.0:
             xn = x - fx / d
         else:
@@ -471,13 +442,10 @@ def _locate_zero(profile: RadialProfile):
         fpp = profile.second_derivs()
 
         def fun(x):
-            return _hermite_value(g[i], g[i + 1], v[i], v[i + 1], profile.derivs[i], profile.derivs[i + 1], x)
+            return _hermite(g, v, profile.derivs, fpp, i, x)
 
-        def dfun(x):
-            return _hermite_value(g[i], g[i + 1], profile.derivs[i], profile.derivs[i + 1], fpp[i], fpp[i + 1], x)
-
-        phi0 = _bracketed_newton(fun, dfun, g[i], g[i + 1], v[i], v[i + 1])
-        return phi0, tau_of_phi(phi0), dfun(phi0)
+        phi0 = _bracketed_newton(fun, g[i], g[i + 1], v[i], v[i + 1])
+        return phi0, tau_of_phi(phi0), fun(phi0)[1]
     if float(v[-1]) <= 0.0:
         raise NoZeroError("profile not positive at the start of the searched range")
     # march the stretched-variable tail; curvature dies like exp(-2 tau),
@@ -487,22 +455,19 @@ def _locate_zero(profile: RadialProfile):
     hits = np.nonzero((u[:-1] > 0.0) & (u[1:] <= 0.0))[0]
     if hits.size:
         i = int(hits[0])
-
-        def fun(x):
-            return profile._tail_eval(x)[0]
-
-        def dfun(x):
-            return profile._tail_eval(x)[1]
-
-        tau0 = _bracketed_newton(fun, dfun, tt[i], tt[i + 1], u[i], u[i + 1])
-        uq, upq = profile._tail_eval(tau0)
-        return phi_of_tau(tau0), tau0, upq * math.cosh(tau0)
+        tau0 = _bracketed_newton(profile._tail_eval, tt[i], tt[i + 1], u[i], u[i + 1])
+        return phi_of_tau(tau0), tau0, profile.value_and_deriv_at_tau(tau0)[1]
     u_end, up_end = float(u[-1]), float(up[-1])
     if up_end >= 0.0:
         raise NoZeroError("profile does not decay; no zero before the far pole")
     tau0 = float(tt[-1]) - u_end / up_end
-    phi0 = phi_of_tau(tau0)
-    return phi0, tau0, up_end * math.cosh(tau0)
+    try:
+        cosh0 = math.cosh(tau0)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"first zero lies within double rounding of pi (tau0 = {tau0:.6g})"
+        ) from None
+    return phi_of_tau(tau0), tau0, up_end * cosh0
 
 
 def first_zero(profile: RadialProfile) -> float:
@@ -620,11 +585,10 @@ def log_derivative_ordering(c1, c2, step=DEFAULT_STEP, tol=1e-8) -> OrderingRepo
     tau_hi = tau_of_phi(math.pi - 10.0 * step)
     taus = np.linspace(tau_of_phi(g1.grid[-1]) + 0.05, tau_hi, 200)
     for t in taus:
-        u1, up1 = g1._tail_eval(t)
-        u2, up2 = g2._tail_eval(t)
-        ch = math.cosh(t)
-        gap = np.append(gap, up1 * ch / u1 - up2 * ch / u2)
-        vgap = np.append(vgap, u1 - u2)
+        f1, fp1 = g1.value_and_deriv_at_tau(t)
+        f2, fp2 = g2.value_and_deriv_at_tau(t)
+        gap = np.append(gap, fp1 / f1 - fp2 / f2)
+        vgap = np.append(vgap, f1 - f2)
     min_gap = float(np.min(gap))
     min_vgap = float(np.min(vgap))
     return OrderingReport(

@@ -88,7 +88,11 @@ def stability_margin(
     """
     sol = symmetric_solution(c, step=step)
     g = beta_half_profile(c, step=step)
-    gv, gp = g.value_and_deriv(sol.phi0)
+    if sol.phi0 <= g.grid[-1]:
+        gv, gp = g.value_and_deriv(sol.phi0)
+    else:
+        # phi0 loses digits near pi and rounds to it from c = 12 on; tau0 keeps them
+        gv, gp = g.value_and_deriv_at_tau(sol.tau0)
     if gv <= 0.0:
         raise PropertyViolationError("comparison profile not positive at the free boundary angle")
     margin = gp - sol.H1 * gv

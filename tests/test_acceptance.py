@@ -225,20 +225,13 @@ def test_criterion_07_weiss_audit():
     assert runtime < 30.0
 
 
-def _solution_boundary(sol, nphi):
-    phis = np.linspace(0.0, math.pi, nphi)
-    vals = np.zeros(nphi)
-    inside = phis < sol.phi0
-    vals[inside] = np.clip(sol.profile.sample(phis[inside])[0], 0.0, None)
-    return vals
-
-
 def test_criterion_08_trapping_small_slope():
     start = time.perf_counter()
     sol = symmetric_solution(0.1)
     cfg = MinimizeConfig(c=0.1, nr=128, nphi=128)
-    res = minimize(cfg, _solution_boundary(sol, 128))
     ref = field_from_solution(sol, 128, 128)
+    # r ends at 1, so the reference's last row is the boundary data
+    res = minimize(cfg, ref.values[-1])
     sup, gap, _ = compare_to_symmetric(res.field, reference=ref)
     fb_err = abs(res.fb_mean - sol.phi0)
     runtime = time.perf_counter() - start
@@ -258,8 +251,9 @@ def test_criterion_09_non_minimality_large_slope():
     start = time.perf_counter()
     sol = symmetric_solution(5.0)
     cfg = MinimizeConfig(c=5.0, nr=128, nphi=128)
-    res = minimize(cfg, _solution_boundary(sol, 128))
     ref = field_from_solution(sol, 128, 128)
+    # r ends at 1, so the reference's last row is the boundary data
+    res = minimize(cfg, ref.values[-1])
     _, gap, _ = compare_to_symmetric(res.field, reference=ref)
     h = max(1.0 / 128.0, math.pi / 128.0)
     runtime = time.perf_counter() - start

@@ -2,7 +2,7 @@ import json
 import math
 import os
 
-from conefbp.cli import main
+from conefbp.cli import _worker_count, main
 
 
 def read_json(path):
@@ -29,6 +29,13 @@ class TestSingleCommands:
         assert rc == 0
         payload = read_json(tmp_path / "stability_c0.2.json")
         assert payload["stable"] is True
+
+    def test_stability_where_phi0_rounds_to_pi(self, tmp_path):
+        rc = main(["stability", "--c", "20", "--out", str(tmp_path)])
+        assert rc == 0
+        payload = read_json(tmp_path / "stability_c20.json")
+        assert payload["stable"] is False
+        assert math.isfinite(payload["margin"])
 
     def test_critical_c(self, tmp_path, capsys):
         rc = main(
@@ -97,6 +104,9 @@ class TestExitCodes:
         # an absurd annulus triggers the invalid-parameter path instead
         assert main(["steklov", "--c", "0.2", "--R", "2", "--out", str(tmp_path)]) == 2
 
+    def test_phi0_within_rounding_of_pi(self, tmp_path):
+        assert main(["phi0", "--c", "60", "--out", str(tmp_path)]) == 2
+
     def test_steklov_rejects_non_finite_ratio(self, tmp_path):
         for R in ("nan", "inf"):
             assert main(["steklov", "--c", "0.2", "--R", R, "--out", str(tmp_path)]) == 2
@@ -134,6 +144,23 @@ class TestSweep:
         rows = (tmp_path / "sweep_minimize_c.csv").read_text().splitlines()
         assert rows[0] == "c,energy,energy_gap,fb_mean,vertex_touch,status"
         assert len(rows) == 3
+
+    def test_large_slopes_give_rows(self, tmp_path):
+        rc = main(["sweep", "c=11:13:3", "stability", "--jobs", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
+        assert len(rows) == 4
+        assert all(row.endswith(",0,ok") for row in rows[1:])
+
+    def test_worker_count_clamped(self, monkeypatch):
+        # checked without a pool: fork starts every worker up front
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _worker_count(64, 100) == 2
+        assert _worker_count(64, 1) == 1
+        assert _worker_count(1, 100) == 1
+        assert _worker_count(0, 100) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(4, 4) == 1
 
     def test_bad_spec(self, tmp_path):
         assert main(["sweep", "c=0:2", "stability", "--out", str(tmp_path)]) == 2

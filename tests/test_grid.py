@@ -130,6 +130,18 @@ class TestGradient:
             gradient_c(f, 0, 3, interior_only=True)
 
 
+class TestFieldFromSolution:
+    @pytest.mark.parametrize("nr,nphi", [(128, 128), (64, 97)])
+    def test_last_row_is_the_boundary_data(self, sol03, nr, nphi):
+        # r ends at exactly 1, so the last row of r f(phi) is the clipped
+        # profile itself, the Dirichlet data of the minimizer runs
+        phis = np.linspace(0.0, np.pi, nphi)
+        inside = phis < sol03.phi0
+        data = np.zeros(nphi)
+        data[inside] = np.clip(sol03.profile.sample(phis[inside])[0], 0.0, None)
+        assert np.array_equal(field_from_solution(sol03, nr, nphi).values[-1], data)
+
+
 class TestFieldValidation:
     def test_negative_values_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -78,6 +78,19 @@ class TestIntegrateProfile:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.derivs, b.derivs)
 
+    def test_tail_matches_flat_cosine(self):
+        # at c = 0 and beta = 1 the profile is cos(phi) exactly, so every
+        # angle beyond the 2.2 grid end checks the stretched-variable tail
+        p = integrate_profile(1.0, 0.0, 2.2)
+        phis = np.array([2.3, 2.6, 3.0, 3.1, math.pi - 1e-3, math.pi - 1e-6])
+        f, fp = p.sample(phis)
+        for k, phi in enumerate(phis):
+            value, slope = p.value_and_deriv(phi)
+            assert value == f[k] and slope == fp[k]
+            assert abs(value - math.cos(phi)) <= 1e-10
+            # f' + sin(phi) carries the tail's 1/sin(phi) amplification
+            assert abs(math.sin(phi) * (slope + math.sin(phi))) <= 1e-10
+
     def test_domain_errors(self):
         with pytest.raises(PoleCollisionError):
             integrate_profile(1.0, 0.0, math.pi, step=1e-3)
@@ -162,6 +175,13 @@ class TestSymmetricSolution:
         rescaled = prof.scaled(-1.0 / fp0)
         assert np.max(np.abs(rescaled.values - prof.values)) <= 1e-15 * np.max(np.abs(prof.values))
         assert np.max(np.abs(rescaled.derivs - prof.derivs)) <= 1e-15 * np.max(np.abs(prof.derivs))
+
+    def test_zero_within_rounding_of_pi_rejected(self):
+        # tau0 is still finite in cosh at c = 53 (703); beyond c ~ 53.2
+        # cosh(tau0) overflows, phi0 being pi far below double rounding
+        assert symmetric_solution(53.0, step=1e-3).tau0 > 700.0
+        with pytest.raises(InvalidParameterError, match="rounding of pi"):
+            symmetric_solution(60.0)
 
     def test_mean_curvature_formula(self, sol05):
         assert abs(sol05.H1 + sol05.t0 / sol05.sin_phi0) < 1e-14

@@ -44,6 +44,23 @@ class TestStabilityMargin:
     def test_large_slope_unstable(self):
         assert not stability_margin(10.0).stable
 
+    @pytest.mark.parametrize(
+        "c,margin",
+        # evaluated at phi0 rather than tau0, which agrees to 1.5e-10 here
+        [(2.0, -2.3075756602338435), (5.0, -587.8775496626289), (10.0, -84724406672.2345)],
+    )
+    def test_margin_beyond_the_grid_from_tau0(self, c, margin):
+        rep = stability_margin(c)
+        assert abs(rep.margin - margin) <= 1e-9 * abs(margin)
+
+    @pytest.mark.parametrize("c", [12.0, 20.0])
+    def test_margin_where_phi0_rounds_to_pi(self, c):
+        rep = stability_margin(c)
+        assert rep.phi0 == math.pi
+        assert math.isfinite(rep.margin)
+        assert rep.margin < 0.0
+        assert not rep.stable
+
     def test_margin_and_ratio_agree(self):
         for c in (0.1, 0.4, 0.7, 2.0):
             rep = stability_margin(c)
