@@ -52,6 +52,9 @@ class BarrierConfig:
     phi2: float | None = None
 
     def __post_init__(self):
+        given = (self.c, self.M, self.beta) + (() if self.phi2 is None else (self.phi2,))
+        if not all(math.isfinite(v) for v in given):
+            raise InvalidParameterError("barrier parameters must be finite")
         if self.M <= 1.0:
             raise InvalidParameterError("barrier offset M must exceed 1")
         if not -1.0 < self.beta < 0.0:
@@ -312,9 +315,6 @@ def supersolution_lift_check(config: BarrierConfig, nr: int = 128, nphi: int = 1
     fld.dirichlet[-1, :] = True
 
     # cut-cell weights: edges leaving U are shortened to the plane
-    wr_scale = np.ones((nr - 1, nphi))
-    wp_scale = np.ones((nr, nphi - 1))
-    theta_r = np.ones((nr - 1, nphi))
     cut_r = inside[:-1, :] & ~inside[1:, :]
     cut_r |= ~inside[:-1, :] & inside[1:, :]
     with np.errstate(divide="ignore", invalid="ignore"):

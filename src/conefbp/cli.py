@@ -2,8 +2,8 @@
 
 Every subcommand writes deterministic artifacts (JSON for structured
 reports, CSV for sweeps and plot data) into the output directory and
-appends one line to run_records.jsonl with the full parameter map, the
-tool version and the wall time.  Identical parameters and version
+appends one line to run_records.jsonl with the subcommand's parameter
+map, the tool version and the wall time.  Identical parameters and version
 reproduce byte-identical primary artifacts; the run record is the only
 file carrying timing.  Exit codes: 0 success, 2 invalid arguments,
 3 numerical non-convergence.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -300,6 +301,8 @@ def _parse_grid_spec(spec: str):
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError as exc:
         raise InvalidParameterError(f"bad grid spec {spec!r}; expected name=start:stop:count") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise InvalidParameterError(f"grid spec {spec!r} needs a finite start and stop")
     if count < 0:
         raise InvalidParameterError("grid count must be nonnegative")
     if count == 0:
@@ -317,16 +320,55 @@ def _grid_pair(text: str):
         raise argparse.ArgumentTypeError("grid must be Nr,Nphi") from exc
 
 
-def _load_config_file(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+# every option, defined once; a subcommand takes the ones it names below
+_FLAGS = {
+    "c": {"type": float, "default": 0.0},
+    "step": {"type": float, "default": DEFAULT_STEP},
+    "tol": {"type": float, "default": 1e-6},
+    "grid": {"type": _grid_pair, "default": (128, 128)},
+    "out": {"default": "out"},
+    "jobs": {"type": _positive_int, "default": min(8, os.cpu_count() or 1)},
+    "plot-data": {"action": "store_true"},
+    "beta": {"type": float, "default": 1.0},
+    "phi-max": {"type": float, "default": 2.2},
+    "steklov": {"action": "store_true"},
+    "lo": {"type": float, "default": 0.0},
+    "hi": {"type": float, "default": 10.0},
+    "R": {"type": float, "default": 32.0},
+    "radii": {"type": int, "default": 16},
+    "M": {"type": float, "default": None},
+    "phi2": {"type": float, "default": None},
+    "k": {"type": int, "required": True},
+}
+
+# subcommand: (handler, help, options it reads, defaults that differ from _FLAGS)
+_COMMANDS = {
+    "profile": (_cmd_profile, "integrate one separated profile",
+                "c step out plot-data beta phi-max", {}),
+    "phi0": (_cmd_phi0, "free boundary angle of the symmetric solution", "c step out", {}),
+    "stability": (_cmd_stability, "stability margin at one slope", "c step out steklov", {}),
+    "critical-c": (_cmd_critical_c, "bisect the critical slope", "step tol out lo hi",
+                   {"step": 1e-3}),
+    "steklov": (_cmd_steklov, "discrete boundary Rayleigh quotient minimum", "c step grid out R",
+                {"c": 0.2, "grid": (257, 129), "step": 1e-3}),
+    "minimize": (_cmd_minimize, "minimize the penalized energy", "c step grid out", {}),
+    "weiss": (_cmd_weiss, "scale monitor trace for the symmetric solution",
+              "c step grid out radii", {}),
+    "barriers": (_cmd_barriers, "barrier certification at one slope", "c step out M phi2", {}),
+    "morgan": (_cmd_morgan, "plane-through-vertex minimality threshold", "out k", {}),
+    "sweep": (_cmd_sweep, "map a subcommand over a parameter grid", "step grid jobs out",
+              {"step": 1e-3, "grid": (64, 64)}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,110 +377,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Free boundary problem laboratory on right circular cones",
     )
     subparsers = parser.add_subparsers(dest="command")
-    created = []
-
-    class sub:
-        # record subparsers so config defaults can reach them (argparse
-        # subparsers parse into a fresh namespace, shadowing parent defaults)
-        @staticmethod
-        def add_parser(*a, **kw):
-            p = subparsers.add_parser(*a, **kw)
-            created.append(p)
-            return p
-
-    parser._command_parsers = created
-
-    def common(p, c_default=0.0):
-        p.add_argument("--c", type=float, default=c_default)
-        p.add_argument("--step", type=float, default=DEFAULT_STEP)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--grid", type=_grid_pair, default=(128, 128))
-        p.add_argument("--out", default="out")
-        p.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1))
-        p.add_argument("--plot-data", action="store_true")
-
-    p = sub.add_parser("profile", help="integrate one separated profile")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--phi-max", dest="phi_max", type=float, default=2.2)
-    common(p)
-
-    common(sub.add_parser("phi0", help="free boundary angle of the symmetric solution"))
-
-    p = sub.add_parser("stability", help="stability margin at one slope")
-    p.add_argument("--steklov", action="store_true")
-    common(p)
-
-    p = sub.add_parser("critical-c", help="bisect the critical slope")
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=10.0)
-    common(p)
-    p.set_defaults(step=1e-3)
-
-    p = sub.add_parser("steklov", help="discrete boundary Rayleigh quotient minimum")
-    p.add_argument("--R", type=float, default=32.0)
-    common(p, c_default=0.2)
-    p.set_defaults(grid=(257, 129), step=1e-3)
-
-    common(sub.add_parser("minimize", help="minimize the penalized energy"))
-
-    p = sub.add_parser("weiss", help="scale monitor trace for the symmetric solution")
-    p.add_argument("--radii", type=int, default=16)
-    common(p)
-
-    p = sub.add_parser("barriers", help="barrier certification at one slope")
-    p.add_argument("--M", type=float, default=None)
-    p.add_argument("--phi2", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("morgan", help="plane-through-vertex minimality threshold")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", default="out")
-
-    p = sub.add_parser("sweep", help="map a subcommand over a parameter grid")
-    p.add_argument("spec", help="grid spec name=start:stop:count")
-    p.add_argument("subcommand", help="one of: " + ", ".join(sorted(_SWEEP_COLUMNS)))
-    common(p)
-    p.set_defaults(step=1e-3, grid=(64, 64))
-
+    for name, (_, help_text, flags, defaults) in _COMMANDS.items():
+        p = subparsers.add_parser(name, help=help_text)
+        if name == "sweep":
+            p.add_argument("spec", help="grid spec name=start:stop:count")
+            p.add_argument("subcommand", help="one of: " + ", ".join(sorted(_SWEEP_COLUMNS)))
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
-_HANDLERS = {
-    "profile": _cmd_profile,
-    "phi0": _cmd_phi0,
-    "stability": _cmd_stability,
-    "critical-c": _cmd_critical_c,
-    "steklov": _cmd_steklov,
-    "minimize": _cmd_minimize,
-    "weiss": _cmd_weiss,
-    "barriers": _cmd_barriers,
-    "morgan": _cmd_morgan,
-    "sweep": _cmd_sweep,
-}
+def _config_args(path, command) -> list:
+    """The options of a ``key = value`` file as arguments of ``command``.
 
-
-def _config_defaults(path) -> dict:
-    raw = _load_config_file(path)
-    out = {}
-    for key, val in raw.items():
-        attr = key.replace("-", "_")
-        if attr == "grid":
-            out[attr] = _grid_pair(val)
-        elif attr in ("jobs", "radii", "k"):
-            out[attr] = int(val)
-        elif attr in ("plot_data", "steklov"):
-            out[attr] = val.lower() in ("1", "true", "yes")
-        elif attr in ("out", "spec", "subcommand"):
-            out[attr] = val
-        else:
-            out[attr] = float(val)
-    return out
+    They go before the command line's own arguments, so explicit flags
+    win; the subcommand's parser types them like typed-in flags.
+    """
+    flags = _COMMANDS[command][2].split()
+    args = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, val = line.partition("=")
+            flag = key.strip().replace("_", "-")
+            if flag not in flags:
+                raise ValueError(f"{command} takes no option {key.strip()!r}")
+            val = val.strip()
+            if _FLAGS[flag].get("action") != "store_true":
+                args.append(f"--{flag}={val}")
+            elif val.lower() in ("1", "true", "yes"):
+                args.append(f"--{flag}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # the config file only supplies defaults, so explicit flags win
     if "--config" in argv:
         i = argv.index("--config")
         if i + 1 >= len(argv):
@@ -446,16 +423,12 @@ def main(argv=None) -> int:
             return 2
         path = argv[i + 1]
         del argv[i : i + 2]
-        try:
-            defaults = _config_defaults(path)
-        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
-            print(f"bad config file: {exc}", file=sys.stderr)
-            return 2
-        defaults.pop("spec", None)
-        defaults.pop("subcommand", None)
-        parser.set_defaults(**defaults)
-        for command_parser in parser._command_parsers:
-            command_parser.set_defaults(**defaults)
+        if argv and argv[0] in _COMMANDS:
+            try:
+                argv[1:1] = _config_args(path, argv[0])
+            except (OSError, ValueError) as exc:
+                print(f"bad config file: {exc}", file=sys.stderr)
+                return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -463,11 +436,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage()
         return 2
-    out = getattr(args, "out", "out")
-    handler = _HANDLERS[args.command]
+    handler = _COMMANDS[args.command][0]
     start = time.perf_counter()
     try:
-        payload, artifacts = handler(args, out)
+        payload, artifacts = handler(args, args.out)
     except (InvalidParameterError, ValueError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
@@ -478,9 +450,9 @@ def main(argv=None) -> int:
     params = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
-        if k not in ("command", "config")
+        if k != "command"
     }
-    _append_record(out, args.command, params, artifacts, wall)
+    _append_record(args.out, args.command, params, artifacts, wall)
     return 0
 
 

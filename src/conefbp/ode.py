@@ -386,6 +386,8 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
         raise InvalidParameterError(f"homogeneity exponent must lie in [-1, 2], got {beta}")
     if not (math.isfinite(c) and c >= 0.0):
         raise InvalidParameterError(f"cone slope must be finite and >= 0, got {c}")
+    if not math.isfinite(phi_max):
+        raise InvalidParameterError(f"phi_max must be finite, got {phi_max}")
     if phi_max >= math.pi:
         raise PoleCollisionError(f"phi_max must stay below pi, got {phi_max}")
     if not 0.0 < step <= 1e-3:

@@ -124,8 +124,8 @@ def find_critical_c0(bracket, tol, step=_SWEEP_STEP, record=None) -> float:
     margin evaluation is appended to ``record`` when a list is supplied.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 <= lo < hi and tol > 0.0):
-        raise InvalidParameterError("bracket must satisfy 0 <= lo < hi with tol > 0")
+    if not (0.0 <= lo < hi and math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameterError("bracket must satisfy 0 <= lo < hi with finite tol > 0")
     r_lo = stability_margin(lo, step=step)
     r_hi = stability_margin(hi, step=step)
     if record is not None:

@@ -46,6 +46,21 @@ class TestLaplacianSignAudit:
         with pytest.raises(InvalidParameterError):
             BarrierConfig(c=0.0, M=0.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"c": 0.02, "M": math.nan},
+            {"c": 0.02, "M": math.inf},
+            {"c": math.nan, "M": 16.0},
+            {"c": math.inf, "M": 16.0},
+            {"c": 0.02, "M": 16.0, "beta": math.nan},
+            {"c": 0.02, "M": 16.0, "phi2": math.nan},
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            BarrierConfig(**kwargs)
+
 
 class TestDecomposition:
     def test_matches_derivative_of_zero_set_gradient(self, sol002):

@@ -2,6 +2,8 @@ import json
 import math
 import os
 
+import pytest
+
 from conefbp.cli import _worker_count, main
 
 
@@ -111,6 +113,33 @@ class TestExitCodes:
         for R in ("nan", "inf"):
             assert main(["steklov", "--c", "0.2", "--R", R, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phi0", "--jobs", "2"],
+            ["critical-c", "--c", "3"],
+            ["barriers", "--grid", "64,64"],
+            ["morgan", "--k", "3", "--step", "1e-3"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["critical-c", "--lo", "0.3", "--hi", "1", "--tol", "inf"],
+            ["barriers", "--c", "0.02", "--M", "nan"],
+            ["profile", "--phi-max", "nan"],
+            ["sweep", "c=nan:1:3", "phi0", "--jobs", "1"],
+            ["sweep", "c=0:inf:3", "phi0", "--jobs", "1"],
+        ],
+    )
+    def test_non_finite_value(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
 
 class TestSweep:
     def test_stability_sweep(self, tmp_path):
@@ -165,6 +194,10 @@ class TestSweep:
     def test_bad_spec(self, tmp_path):
         assert main(["sweep", "c=0:2", "stability", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_must_be_positive(self, tmp_path, jobs):
+        assert main(["sweep", "c=0:1:2", "phi0", "--jobs", jobs, "--out", str(tmp_path)]) == 2
+
     def test_row_count_includes_failures(self, tmp_path):
         # one negative slope fails in-row, the rest succeed
         rc = main(["sweep", "c=-0.5:1:4", "stability", "--jobs", "1", "--out", str(tmp_path)])
@@ -210,3 +243,26 @@ class TestDeterminismAndConfig:
         rc = main(["--config", str(cfg), "phi0", "--c", "0.2", "--out", str(out2)])
         assert rc == 0
         assert (out2 / "phi0_c0.2.json").exists()
+
+    def test_config_values_take_the_subcommands_types(self, tmp_path):
+        cfg = tmp_path / "weiss.cfg"
+        cfg.write_text("c = 0.3\nstep = 1e-3\ngrid = 96,96\nradii = 8\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "weiss", "--out", str(out)]) == 0
+        assert len((out / "weiss_c0.3.csv").read_text().splitlines()) == 1 + 8
+        params = json.loads((out / "run_records.jsonl").read_text())["params"]
+        assert params == {"c": 0.3, "step": 1e-3, "grid": [96, 96], "radii": 8, "out": str(out)}
+        assert isinstance(params["radii"], int)
+
+    def test_config_switch(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text("c = 0.3\nstep = 1e-3\nplot-data = true\n")
+        assert main(["--config", str(cfg), "profile", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "profile_beta1_c0.3_plot.csv").exists()
+
+    def test_config_key_the_subcommand_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("jobs = 2\n")
+        assert main(["--config", str(cfg), "phi0", "--out", str(tmp_path / "o")]) == 2
+        assert "bad config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -98,6 +98,9 @@ class TestIntegrateProfile:
             integrate_profile(1.0, 0.0, 2.0, step=2e-3)
         with pytest.raises(InvalidParameterError):
             integrate_profile(3.0, 0.0, 2.0, step=1e-3)
+        for phi_max in (math.nan, -math.inf):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                integrate_profile(1.0, 0.0, phi_max, step=1e-3)
         with pytest.raises(InvalidParameterError):
             integrate_profile(1.0, -1.0, 2.0, step=1e-3)
 

@@ -106,6 +106,9 @@ class TestCriticalSlope:
             find_critical_c0((2.0, 10.0), 1e-3)  # both unstable
         with pytest.raises(InvalidParameterError):
             find_critical_c0((1.0, 0.5), 1e-3)
+        for tol in (math.inf, math.nan, 0.0):
+            with pytest.raises(InvalidParameterError):
+                find_critical_c0((0.3, 1.0), tol)
 
 
 class TestRadialWitness:
