@@ -25,7 +25,7 @@ from . import __version__
 from .barriers import BarrierConfig, admissible_parameter_search, supersolution_lift_check
 from .errors import ConvergenceFailureError, InvalidParameterError
 from .geometry import is_minimizing, morgan_threshold
-from .grid import field_from_solution, save_field_text
+from .grid import field_from_solution, make_field, save_field_text
 from .minimize import MinimizeConfig, compare_to_symmetric, energy, minimize
 from .ode import DEFAULT_STEP, integrate_profile, symmetric_solution
 from .stability import find_critical_c0, stability_margin, steklov_min_quotient
@@ -40,7 +40,7 @@ _SWEEP_COLUMNS = {
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 def _write_artifact(out_dir, name, payload: bytes) -> str:
@@ -268,6 +268,8 @@ def _cmd_sweep(args, out):
     sub = args.subcommand
     if sub not in _SWEEP_COLUMNS:
         raise InvalidParameterError(f"sweep does not support subcommand {sub!r}")
+    if sub == "minimize":
+        make_field(*args.grid, 0.0)  # a bad shared grid fails every point: reject it up front
     header = _SWEEP_COLUMNS[sub] + ("status",)
     shared = {"step": args.step, "grid": args.grid}
     tasks = [(sub, v, shared) for v in grid_values]

@@ -291,11 +291,6 @@ class RadialProfile:
             return self.sample(phi)[0]
         return float(self.value_and_deriv(float(phi))[0])
 
-    def deriv(self, phi):
-        if np.ndim(phi):
-            return self.sample(phi)[1]
-        return float(self.value_and_deriv(float(phi))[1])
-
     # -- audits ---------------------------------------------------------
 
     def residual(self) -> np.ndarray:
@@ -505,9 +500,6 @@ class SymmetricSolution:
 
     def profile_value(self, phi):
         return self.profile.value(phi)
-
-    def profile_deriv(self, phi):
-        return self.profile.deriv(phi)
 
 
 def symmetric_solution(c, step=DEFAULT_STEP, phi_max=None) -> SymmetricSolution:

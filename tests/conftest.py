@@ -71,6 +71,29 @@ def series_zero(lam, lo, hi, iters=100):
     return 0.5 * (lo + hi)
 
 
+def series_critical_c0(lo=0.3, hi=1.0, tol=1e-12):
+    """Critical slope from the series oracles alone, by bisection.
+
+    The margin g'(phi0) - H1 g(phi0) has H1 = -cot(phi0), phi0 the series
+    zero of the degree-one profile and g the series profile at
+    lam = -1/(4(1+c^2)) (exponent -1/2); it is positive below c0.
+    """
+
+    def margin(c):
+        one = 1.0 + c * c
+        phi0 = series_zero(2.0 / one, 1.0, 2.5)
+        lam = -0.25 / one
+        return legendre_series_deriv(lam, phi0) + legendre_series(lam, phi0) / math.tan(phi0)
+
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 @pytest.fixture(scope="session")
 def sol01():
     return symmetric_solution(0.1)

@@ -5,6 +5,8 @@ import pytest
 
 from conefbp.barriers import (
     BarrierConfig,
+    _cut_edges,
+    _plane_gradient_sq,
     admissible_parameter_search,
     decomposition_terms,
     derivative_decomposition,
@@ -15,6 +17,7 @@ from conefbp.barriers import (
     supersolution_lift_check,
 )
 from conefbp.errors import InvalidParameterError
+from conefbp.grid import make_field
 from conefbp.ode import symmetric_solution
 
 C0_ANCHOR = 0.5884039
@@ -177,6 +180,76 @@ class TestSupersolutionLift:
         with pytest.raises(InvalidParameterError):
             supersolution_lift_check(BarrierConfig(c=0.02, M=16.0, phi2=1.0), sol=sol002)
 
+    def test_plane_audit_matches_edge_loop(self):
+        # the per-edge loop the vectorized audit replaced, kept as its reference
+        c, phi2, nr, nphi = 0.02, 1.67, 64, 97
+        fld = make_field(nr, nphi, c)
+        R, P = np.meshgrid(fld.r, fld.phi, indexing="ij")
+        psi = R * np.cos(P) - math.cos(phi2)
+        inside = psi > 0.0
+        v = np.where(inside, psi * (1.0 + 0.3 * R * np.cos(P)), 0.0)
+        one = 1.0 + c * c
+        dr = np.diff(fld.r)
+        dp = fld.phi[1] - fld.phi[0]
+        corner_r = 1.0 - 3.0 * float(dr.max())
+        cut_r, theta_r = _cut_edges(psi, inside)
+        cut_p, theta_p = _cut_edges(psi.T, inside.T)
+
+        def at_cut(a, r, p, radial):
+            if r > corner_r:
+                return None
+            psir, psip = math.cos(p), -r * math.sin(p)
+            hyp = math.hypot(psir, psip / r)
+            if (abs(psir) if radial else abs(psip / r)) / hyp < 0.25:
+                return None
+            norm_psi = math.sqrt(psir * psir / one + psip * psip / (r * r))
+            return (a * norm_psi / (abs(psir) if radial else abs(psip))) ** 2
+
+        def slope(v1, v2, s1, s2):
+            return (v1 * s2 * s2 - v2 * s1 * s1) / (s1 * s2 * (s2 - s1))
+
+        loop = []
+        for i in range(nr - 1):
+            for j in range(nphi):
+                if cut_r[i, j]:
+                    i_in, d = (i, -1) if inside[i, j] else (i + 1, 1)
+                    i2 = i_in + d
+                    if 0 <= i2 < nr and inside[i2, j]:
+                        s1 = theta_r[i, j] * dr[i]
+                        s2 = s1 + abs(fld.r[i2] - fld.r[i_in])
+                        a = slope(v[i_in, j], v[i2, j], s1, s2)
+                        loop.append(at_cut(a, fld.r[i_in] - d * s1, fld.phi[j], True))
+        for i in range(nr):
+            for j in range(nphi - 1):
+                if cut_p[j, i]:
+                    j_in, d = (j, -1) if inside[i, j] else (j + 1, 1)
+                    j2 = j_in + d
+                    if 0 <= j2 < nphi and inside[i, j2]:
+                        s1 = theta_p[j, i] * dp
+                        a = slope(v[i, j_in], v[i, j2], s1, s1 + dp)
+                        loop.append(at_cut(a, fld.r[i], fld.phi[j_in] - d * s1, False))
+        loop = np.sort([x for x in loop if x is not None])
+        dps = np.full(nphi - 1, dp)
+        vec = np.concatenate(
+            [
+                _plane_gradient_sq(v, inside, cut_r, theta_r, fld.r, dr, fld.phi, one, corner_r, radial=True),
+                _plane_gradient_sq(v.T, inside.T, cut_p, theta_p, fld.phi, dps, fld.r, one, corner_r, radial=False),
+            ]
+        )
+        assert loop.size > 50
+        assert np.array_equal(np.sort(vec), loop)
+
+    def test_no_plane_point_to_audit(self, sol002):
+        # the plane x3 = cos(3) meets the ball only next to the sphere, inside the skipped corner band
+        with pytest.raises(InvalidParameterError, match="plane point"):
+            supersolution_lift_check(BarrierConfig(c=0.02, M=16.0, phi2=3.0), nr=64, nphi=64, sol=sol002)
+
+    def test_no_sphere_column_to_audit(self, sol002):
+        # on four angles every column below the pasting angle lies within 2.5 dphi of it
+        cfg = BarrierConfig(c=0.02, M=16.0, phi2=sol002.phi0 + 0.1)
+        with pytest.raises(InvalidParameterError, match="sphere column"):
+            supersolution_lift_check(cfg, nr=64, nphi=4, sol=sol002)
+
 
 class TestHessianGradient:
     def test_constant_function(self, rng):
@@ -207,10 +280,22 @@ class TestSubharmonicity:
     def test_flat_cosine_margin(self):
         sol = symmetric_solution(0.0)
         margin, loc, at_boundary = subharmonicity_margin(sol, num_points=120)
-        # analytic margin for cos(phi) at exponent 1 is 2 cos^2 >= 0
+        # analytic margin for cos(phi) at exponent 1 is 4 cos^2 >= 0
         assert margin >= -1e-6
         assert at_boundary
         assert abs(loc - sol.phi0) < 2e-3
+
+    def test_flat_cone_closed_form(self):
+        # 2 ||Hess cos||^2 - 4 sin^2 = 4 cos^2, smallest at the last sampled angle
+        sol = symmetric_solution(0.0)
+        margin, _, _ = subharmonicity_margin(sol, num_points=120, phi_pad=0.08)
+        assert abs(margin - 4.0 * math.cos(sol.phi0 - 0.08) ** 2) < 1e-9
+
+    @pytest.mark.parametrize("kwargs", [{"num_points": 0}, {"phi_pad": 0.0}, {"phi_pad": 1.0}])
+    def test_sampling_validated(self, sol002, kwargs):
+        # cot is infinite at phi = 0; phi_pad = 1.0 would reverse [pad, phi0 - pad]
+        with pytest.raises(InvalidParameterError):
+            subharmonicity_margin(sol002, **kwargs)
 
     @pytest.mark.parametrize("c", [0.2, 0.5])
     def test_computed_profiles(self, c):

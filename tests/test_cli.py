@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from conefbp.cli import _worker_count, main
+from conefbp.cli import _json_bytes, _worker_count, main
 
 
 def read_json(path):
@@ -134,6 +134,11 @@ class TestExitCodes:
             ["profile", "--phi-max", "nan"],
             ["sweep", "c=nan:1:3", "phi0", "--jobs", "1"],
             ["sweep", "c=0:inf:3", "phi0", "--jobs", "1"],
+            # no audited plane point would leave the flat margin NaN
+            ["barriers", "--c", "0.02", "--M", "16", "--phi2", "3.0"],
+            # a grid every sweep point would reject
+            ["sweep", "c=0:1:2", "minimize", "--grid", "1,1", "--jobs", "1"],
+            ["sweep", "c=0:1:2", "minimize", "--grid", "4,3", "--jobs", "1"],
         ],
     )
     def test_non_finite_value(self, tmp_path, argv):
@@ -222,6 +227,11 @@ class TestDeterminismAndConfig:
             main(["morgan", "--k", "4", "--out", str(out)])
         assert (a / "phi0_c0.4.json").read_bytes() == (b / "phi0_c0.4.json").read_bytes()
         assert (a / "morgan_k4.json").read_bytes() == (b / "morgan_k4.json").read_bytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_artifacts_reject_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            _json_bytes({"margin": value})
 
     def test_run_record_appended(self, tmp_path):
         main(["morgan", "--k", "3", "--out", str(tmp_path)])

@@ -20,7 +20,7 @@ from conefbp.stability import (
     steklov_trial_quotient,
 )
 
-from conftest import annulus_steklov_quotient, legendre_series
+from conftest import annulus_steklov_quotient, legendre_series, series_critical_c0
 
 # regression anchor, stable to < 1e-7 under ODE step halving (1e-3 -> 5e-4)
 C0_ANCHOR = 0.5884039
@@ -84,6 +84,10 @@ class TestCriticalSlope:
     def test_bisection_anchor(self):
         c0 = find_critical_c0((0.0, 10.0), 1e-6)
         assert abs(c0 - C0_ANCHOR) < 2e-6
+
+    def test_matches_series_oracle(self):
+        c0 = find_critical_c0((0.0, 10.0), 1e-10)
+        assert abs(c0 - series_critical_c0()) < 1e-8
 
     def test_bracket_independence(self):
         a = find_critical_c0((0.0, 10.0), 1e-5)
