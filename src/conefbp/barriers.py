@@ -326,8 +326,13 @@ def supersolution_lift_check(config: BarrierConfig, nr: int = 128, nphi: int = 1
     if config.phi2 is None:
         raise InvalidParameterError("lift check needs the pasting angle phi2")
     phi2 = float(config.phi2)
-    if not sol.phi0 < phi2 < math.pi:
+    if not sol.phi0 < phi2:
         raise InvalidParameterError("pasting angle must lie beyond the free boundary angle")
+    if not phi2 < math.pi:
+        raise InvalidParameterError(
+            f"pasting angle phi2 = {phi2:.6g} must lie below pi = {math.pi:.6g}"
+            f" (free boundary angle {sol.phi0:.6g})"
+        )
     c = config.c
     M = config.M
     f2 = sol.profile_value(phi2)
@@ -352,7 +357,7 @@ def supersolution_lift_check(config: BarrierConfig, nr: int = 128, nphi: int = 1
     cut_r, theta_r = _cut_edges(psi, inside)
     cut_p, theta_p = _cut_edges(psi.T, inside.T)
     weights = (np.where(cut_r, 1.0 / theta_r, 1.0), np.where(cut_p, 1.0 / theta_p, 1.0).T)
-    v = dirichlet_solve(fld, tol=1e-10, weight_scale=weights).values
+    v = dirichlet_solve(fld, weight_scale=weights).values
 
     one = 1.0 + c * c
     dr = np.diff(r)

@@ -24,6 +24,9 @@ from .errors import (
 )
 from .quadrature import trapezoid_weights
 
+_CG_TOL = 1e-10
+_CG_MAX_ITER = 60000
+
 __all__ = [
     "AxisymField",
     "make_field",
@@ -67,22 +70,20 @@ class AxisymField:
         )
 
 
-def make_field(nr, nphi, c, r_min=None, values=None, spacing="uniform") -> AxisymField:
-    """Grid on [r_min, 1] x [0, pi]; radial spacing uniform or geometric."""
+def make_field(nr, nphi, c, r_min=None, values=None) -> AxisymField:
+    """Uniform grid on [r_min, 1] x [0, pi] for the cone of slope c >= 0."""
     nr = int(nr)
     nphi = int(nphi)
     if nr < 4 or nphi < 4:
         raise InvalidParameterError("grid needs at least 4 nodes per direction")
+    c = float(c)
+    if not (math.isfinite(c) and c >= 0.0):
+        raise InvalidParameterError("cone slope c must be finite and nonnegative")
     if r_min is None:
         r_min = 1.0 / nr
     if not 0.0 < r_min < 1.0:
         raise InvalidParameterError("r_min must lie in (0, 1)")
-    if spacing == "uniform":
-        r = np.linspace(r_min, 1.0, nr)
-    elif spacing == "geometric":
-        r = np.geomspace(r_min, 1.0, nr)
-    else:
-        raise InvalidParameterError(f"unknown radial spacing {spacing!r}")
+    r = np.linspace(r_min, 1.0, nr)
     phi = np.linspace(0.0, math.pi, nphi)
     if values is None:
         values = np.zeros((nr, nphi))
@@ -93,7 +94,7 @@ def make_field(nr, nphi, c, r_min=None, values=None, spacing="uniform") -> Axisy
         raise InvalidParameterError("field values must be nonnegative")
     dirichlet = np.zeros((nr, nphi), dtype=bool)
     dirichlet[-1, :] = True
-    return AxisymField(r=r, phi=phi, values=values, c=float(c), dirichlet=dirichlet)
+    return AxisymField(r=r, phi=phi, values=values, c=c, dirichlet=dirichlet)
 
 
 def field_from_solution(sol, nr, nphi, r_min=None) -> AxisymField:
@@ -229,27 +230,19 @@ def edge_diag(wr, wp, shape):
     return diag
 
 
-def dirichlet_solve(
-    field: AxisymField,
-    unknown=None,
-    tol: float = 1e-10,
-    max_iter: int = 60000,
-    weight_scale=None,
-) -> AxisymField:
-    """Solve the cone Laplace equation on the unknown node set.
+def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
+    """Solve the cone Laplace equation on the nodes outside ``field.dirichlet``.
 
-    Nodes outside ``unknown`` keep their current values as Dirichlet
+    Nodes in ``field.dirichlet`` keep their current values as Dirichlet
     data.  The solve runs preconditioned conjugate gradients on the
-    symmetric conservative form to relative residual ``tol``; failure
+    symmetric conservative form to relative residual 1e-10; failure
     raises ConvergenceFailureError carrying the iteration log.
     ``weight_scale`` optionally rescales the (wr, wp) edge weights, which
     implements shortened cut-cell edges at non-grid-aligned boundaries.
     """
-    if unknown is None:
-        unknown = ~field.dirichlet
-    unknown = np.asarray(unknown, dtype=bool)
-    if unknown.shape != field.values.shape:
-        raise GridMismatchError("unknown mask shape does not match the field")
+    if field.dirichlet.shape != field.values.shape:
+        raise GridMismatchError("Dirichlet mask shape does not match the field")
+    unknown = ~field.dirichlet
     wr, wp = dirichlet_edge_weights(field)
     if weight_scale is not None:
         wr = wr * weight_scale[0]
@@ -276,7 +269,7 @@ def dirichlet_solve(
         p = z.copy()
         rz = float(np.sum(r_vec * z))
         log = []
-        for it in range(max_iter):
+        for it in range(_CG_MAX_ITER):
             ap = apply_a(p)
             denom = float(np.sum(p * ap))
             if denom <= 0.0:
@@ -285,9 +278,9 @@ def dirichlet_solve(
             x += alpha * p
             r_vec -= alpha * ap
             res = float(np.linalg.norm(r_vec)) / bnorm
-            if it % 100 == 0 or res <= tol:
+            if it % 100 == 0 or res <= _CG_TOL:
                 log.append((it, res))
-            if res <= tol:
+            if res <= _CG_TOL:
                 break
             z = r_vec / diag
             rz_new = float(np.sum(r_vec * z))
@@ -314,10 +307,11 @@ def gradient_sq_field(field: AxisymField) -> np.ndarray:
     return ur**2 / one + up**2 / field.r[:, None] ** 2
 
 
-def gradient_c(field: AxisymField, i: int, j: int, interior_only=False) -> float:
-    """Metric gradient magnitude squared at one node."""
-    if interior_only and (i in (0, field.shape[0] - 1) or j in (0, field.shape[1] - 1)):
-        raise InvalidParameterError("node is not interior")
+def gradient_c(field: AxisymField, i: int, j: int) -> float:
+    """Metric gradient magnitude squared at node (i, j)."""
+    nr, nphi = field.shape
+    if not (0 <= i < nr and 0 <= j < nphi):
+        raise InvalidParameterError(f"node ({i}, {j}) lies outside the {nr}x{nphi} grid")
     return float(gradient_sq_field(field)[i, j])
 
 
@@ -339,18 +333,23 @@ def load_field_text(path) -> AxisymField:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     header = {}
     rows = []
-    for ln in lines:
-        if "=" in ln:
-            key, _, val = ln.partition("=")
-            header[key.strip()] = val.strip()
-        else:
-            rows.append([float(tok) for tok in ln.split()])
-    nr = int(header["Nr"])
-    nphi = int(header["Nphi"])
-    values = np.asarray(rows, dtype=float)
+    try:
+        for ln in lines:
+            if "=" in ln:
+                key, _, val = ln.partition("=")
+                header[key.strip()] = val.strip()
+            else:
+                rows.append([float(tok) for tok in ln.split()])
+        nr = int(header["Nr"])
+        nphi = int(header["Nphi"])
+        r_min = float(header["r_min"])
+        c = float(header["c"])
+        values = np.asarray(rows, dtype=float)
+    except (KeyError, ValueError) as exc:
+        raise GridMismatchError(f"snapshot needs numeric Nr, Nphi, r_min, c and rows: {exc!r}") from exc
     if values.shape != (nr, nphi):
         raise GridMismatchError("snapshot body does not match its header")
-    return make_field(nr, nphi, float(header["c"]), r_min=float(header["r_min"]), values=values)
+    return make_field(nr, nphi, c, r_min=r_min, values=values)
 
 
 def field_to_csv(field: AxisymField, path) -> None:

@@ -31,10 +31,8 @@ from .grid import (
     dirichlet_solve,
     edge_apply,
     edge_diag,
-    field_from_solution,
     make_field,
 )
-from .ode import symmetric_solution
 from .quadrature import trapezoid_weights
 
 __all__ = [
@@ -46,46 +44,36 @@ __all__ = [
     "compare_to_symmetric",
 ]
 
+# projected-gradient sweeps per continuation stage, Jacobi step scale and
+# the number of step halvings before the descent is declared failed
+_INNER_ITERS = 300
+_STEP_SCALE = 0.9
+_MAX_HALVINGS = 10
+
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Grid, continuation schedule and sharpening controls."""
+    """Cone slope and grid; the continuation schedule follows from them."""
 
     c: float
     nr: int = 128
     nphi: int = 128
-    eps_schedule: tuple = ()
-    max_outer: int = 40
-    inner_iters: int = 300
-    trunc_tol: float = 0.0
-    step_scale: float = 0.9
-    max_halvings: int = 10
 
     def grid_h(self) -> float:
         return max(1.0 / self.nr, math.pi / self.nphi)
 
-    def schedule(self, data_peak: float):
-        if self.eps_schedule:
-            eps = tuple(self.eps_schedule)
-        else:
-            floor = self.grid_h() * max(1.0, data_peak)
-            eps0 = max(0.5 * data_peak, 4.0 * floor)
-            eps = []
-            e = eps0
-            while e > floor * 1.0001:
-                eps.append(e)
-                e *= 0.5
-            eps.append(floor)
-            eps = tuple(eps)
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise InvalidParameterError("continuation schedule must decrease strictly")
-        if eps[-1] < self.grid_h() * 0.999999:
-            raise InvalidParameterError("continuation floor below the grid resolution")
-        return eps
+    def schedule(self, data_peak: float) -> tuple:
+        """Ramp widths halving from max(peak/2, 4 floor) down to the floor h max(1, peak)."""
+        floor = self.grid_h() * max(1.0, data_peak)
+        eps = []
+        e = max(0.5 * data_peak, 4.0 * floor)
+        while e > floor * 1.0001:
+            eps.append(e)
+            e *= 0.5
+        eps.append(floor)
+        return tuple(eps)
 
     def truncation(self, data_peak: float) -> float:
-        if self.trunc_tol > 0.0:
-            return self.trunc_tol
         return 0.5 * self.grid_h() * max(1.0, data_peak)
 
 
@@ -105,28 +93,29 @@ class MinimizeResult:
     halvings: int = 0
 
 
-def _cell_weights(fld: AxisymField) -> np.ndarray:
+def _weights(fld: AxisymField):
+    """Edge weights (wr, wp) and cell volumes, all with the cone prefactor 2 pi sqrt(1+c^2)."""
+    const = 2.0 * math.pi * math.sqrt(1.0 + fld.c * fld.c)
+    wr, wp = dirichlet_edge_weights(fld)
     rw = trapezoid_weights(fld.r)
     pw = trapezoid_weights(fld.phi)
-    one = math.sqrt(1.0 + fld.c * fld.c)
+    cells = (fld.r**2 * rw)[:, None] * (np.sin(fld.phi) * pw)[None, :] * const
+    return wr * const, wp * const, cells
+
+
+def _energy(u, wr, wp, cells, eps=None) -> float:
+    """Edge form of u plus the exact indicator volume, or its smoothstep ramp of width eps."""
+    chi = cells[u > 0.0] if eps is None else _smoothstep(u / eps) * cells
     return (
-        (fld.r**2 * rw)[:, None]
-        * (np.sin(fld.phi) * pw)[None, :]
-        * (2.0 * math.pi * one)
+        float(np.sum(wr * (u[1:, :] - u[:-1, :]) ** 2))
+        + float(np.sum(wp * (u[:, 1:] - u[:, :-1]) ** 2))
+        + float(np.sum(chi))
     )
 
 
 def energy(fld: AxisymField) -> float:
     """Cone energy by edge-midpoint tensor quadrature, exact discrete chi."""
-    wr, wp = dirichlet_edge_weights(fld)
-    const = 2.0 * math.pi * math.sqrt(1.0 + fld.c * fld.c)
-    u = fld.values
-    dirichlet = const * (
-        float(np.sum(wr * (u[1:, :] - u[:-1, :]) ** 2))
-        + float(np.sum(wp * (u[:, 1:] - u[:, :-1]) ** 2))
-    )
-    chi = float(np.sum(_cell_weights(fld)[u > 0.0]))
-    return dirichlet + chi
+    return _energy(fld.values, *_weights(fld))
 
 
 def _smoothstep(t):
@@ -162,55 +151,38 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     peak = float(data.max())
     fld.values = np.outer(fld.r, data)
 
-    wr, wp = dirichlet_edge_weights(fld)
-    const = 2.0 * math.pi * math.sqrt(1.0 + fld.c * fld.c)
-    wr = wr * const
-    wp = wp * const
-    cells = _cell_weights(fld)
+    wr, wp, cells = _weights(fld)
     free = ~fld.dirichlet
-
-    def dirichlet_energy(u):
-        return float(np.sum(wr * (u[1:, :] - u[:-1, :]) ** 2)) + float(
-            np.sum(wp * (u[:, 1:] - u[:, :-1]) ** 2)
-        )
-
-    def true_energy(u):
-        return dirichlet_energy(u) + float(np.sum(cells[u > 0.0]))
-
-    schedule = config.schedule(peak)
     diag_a = edge_diag(wr, wp, fld.values.shape)
     u = fld.values.copy()
     u_best = u.copy()
-    e_best = true_energy(u)
+    e_best = _energy(u, wr, wp, cells)
     outer_energies = [e_best]
-    eta = config.step_scale
+    eta = _STEP_SCALE
     halvings = 0
 
-    def ramp_energy(x, eps):
-        return dirichlet_energy(x) + float(np.sum(_smoothstep(x / eps) * cells))
-
-    for eps in schedule[: config.max_outer]:
+    for eps in config.schedule(peak):
         # Hessian diagonal bound: 2A plus the ramp curvature 6/eps^2
         diag = 2.0 * diag_a + (6.0 / (eps * eps)) * cells
         while True:
             trial = u.copy()
-            for _ in range(config.inner_iters):
+            for _ in range(_INNER_ITERS):
                 grad = 2.0 * edge_apply(trial, wr, wp) + _smoothstep_deriv(trial / eps) * (
                     cells / eps
                 )
                 trial = np.where(free, np.maximum(trial - eta * grad / diag, 0.0), trial)
-            if ramp_energy(trial, eps) <= ramp_energy(u, eps) + 1e-12:
+            if _energy(trial, wr, wp, cells, eps) <= _energy(u, wr, wp, cells, eps) + 1e-12:
                 u = trial
                 break
             halvings += 1
             eta *= 0.5
-            if halvings > config.max_halvings:
+            if halvings > _MAX_HALVINGS:
                 raise ConvergenceFailureError(
                     "descent failed after maximum step halvings",
                     log=[("outer_energies", tuple(outer_energies))],
                     iterate=fld.with_values(u_best),
                 )
-        e_true = true_energy(u)
+        e_true = _energy(u, wr, wp, cells)
         if e_true <= e_best:
             e_best = e_true
             u_best = u.copy()
@@ -226,12 +198,12 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     work = fld.with_values(np.where(positive, sharp, 0.0))
     work.dirichlet = fld.dirichlet | ~positive
     try:
-        replaced = dirichlet_solve(work, tol=1e-10)
+        replaced = dirichlet_solve(work)
         candidates.append(np.clip(replaced.values, 0.0, None))
     except ConvergenceFailureError:
         pass
     for cand in candidates:
-        e_cand = true_energy(cand)
+        e_cand = _energy(cand, wr, wp, cells)
         if e_cand <= e_best:
             e_best = e_cand
             u_best = cand
@@ -258,15 +230,15 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     return result
 
 
-def free_boundary_angle(fld: AxisymField, r_lo=0.2, r_hi=0.8) -> list:
-    """Per-radius first zero-crossing angle by linear interpolation.
+def free_boundary_angle(fld: AxisymField) -> list:
+    """Per-radius first zero-crossing angle by linear interpolation, for 0.2 <= r <= 0.8.
 
     Rows that are entirely positive or entirely zero contribute no
     estimate.
     """
     out = []
     for i, rv in enumerate(fld.r):
-        if not r_lo <= rv <= r_hi:
+        if not 0.2 <= rv <= 0.8:
             continue
         row = fld.values[i]
         pos = row > 0.0
@@ -282,36 +254,19 @@ def free_boundary_angle(fld: AxisymField, r_lo=0.2, r_hi=0.8) -> list:
 
 
 def _vertex_touch(fld: AxisymField) -> bool:
-    near = fld.r <= 2.0 * fld.r_min + 1e-15
-    vals = fld.values[near]
-    zero = vals <= 0.0
-    if not zero.any():
-        return False
+    """Whether a zero node at radius <= 2 r_min has a positive grid neighbour."""
     pos = fld.values > 0.0
-    for i in np.nonzero(near)[0]:
-        for j in range(fld.shape[1]):
-            if fld.values[i, j] > 0.0:
-                continue
-            neighbors = []
-            if i > 0:
-                neighbors.append(pos[i - 1, j])
-            if i + 1 < fld.shape[0]:
-                neighbors.append(pos[i + 1, j])
-            if j > 0:
-                neighbors.append(pos[i, j - 1])
-            if j + 1 < fld.shape[1]:
-                neighbors.append(pos[i, j + 1])
-            if any(neighbors):
-                return True
-    return False
+    beside = np.zeros_like(pos)
+    beside[1:] |= pos[:-1]
+    beside[:-1] |= pos[1:]
+    beside[:, 1:] |= pos[:, :-1]
+    beside[:, :-1] |= pos[:, 1:]
+    near = fld.r <= 2.0 * fld.r_min + 1e-15
+    return bool(np.any(beside[near] & ~pos[near]))
 
 
-def compare_to_symmetric(fld: AxisymField, c=None, reference: AxisymField | None = None, step=None):
-    """Sup distance, energy gap and vertex contact against the symmetric solution."""
-    if reference is None:
-        kwargs = {} if step is None else {"step": step}
-        sol = symmetric_solution(fld.c if c is None else c, **kwargs)
-        reference = field_from_solution(sol, fld.shape[0], fld.shape[1], r_min=fld.r_min)
+def compare_to_symmetric(fld: AxisymField, reference: AxisymField):
+    """Sup distance, energy gap and vertex contact against the symmetric solution field."""
     if not fld.same_grid(reference):
         raise GridMismatchError("fields do not share a grid")
     peak = float(reference.values.max())

@@ -356,6 +356,7 @@ def test_criterion_12_determinism(tmp_path):
         cli_main(["stability", "--c", "1", "--step", "1e-3", "--out", str(out)])
         cli_main(["morgan", "--k", "3", "--out", str(out)])
         cli_main(["morgan", "--k", "4", "--out", str(out)])
+        cli_main(["minimize", "--c", "0.1", "--grid", "32,32", "--out", str(out)])
         # cap geometry and witness artifacts for the remaining criteria
         cap = cap_geometry(math.pi / 2.0 + 0.2)
         (out / "cap.json").write_text(json.dumps(cap.__dict__, sort_keys=True))
@@ -371,6 +372,8 @@ def test_criterion_12_determinism(tmp_path):
         "stability_c1.json",
         "morgan_k3.json",
         "morgan_k4.json",
+        "minimize_c0.1.json",
+        "minimize_c0.1_field.txt",
         "cap.json",
         "witness.json",
     ]

@@ -113,6 +113,13 @@ class TestExitCodes:
         for R in ("nan", "inf"):
             assert main(["steklov", "--c", "0.2", "--R", R, "--out", str(tmp_path)]) == 2
 
+    def test_pasting_angle_beyond_pi_named(self, tmp_path, capsys):
+        # at c = 5 the default phi2 = phi0 + 0.1 passes phi0 but not pi
+        assert main(["barriers", "--c", "5", "--M", "16", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "below pi" in err
+        assert "free boundary angle 3.1397" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from conefbp import grid
 from conefbp.errors import ConvergenceFailureError, GridMismatchError, InvalidParameterError
 from conefbp.grid import (
     apply_laplace_beltrami,
@@ -13,6 +16,7 @@ from conefbp.grid import (
     make_field,
     save_field_text,
 )
+from conefbp.minimize import MinimizeConfig, minimize
 
 
 class TestLaplaceBeltrami:
@@ -83,11 +87,12 @@ class TestDirichletSolve:
         e1, e2 = solve_err(24), solve_err(48)
         assert e1 / e2 >= 3.5
 
-    def test_nonconvergence_carries_log(self):
+    def test_nonconvergence_carries_log(self, monkeypatch):
+        monkeypatch.setattr(grid, "_CG_MAX_ITER", 3)
         f = make_field(24, 24, 0.0)
         f.values[-1, :] = 1.0 + np.sin(f.phi)
         with pytest.raises(ConvergenceFailureError) as err:
-            dirichlet_solve(f, max_iter=3)
+            dirichlet_solve(f)
         assert err.value.log
 
     def test_dirichlet_nodes_untouched(self):
@@ -98,8 +103,9 @@ class TestDirichletSolve:
 
     def test_mask_shape_checked(self):
         f = make_field(16, 16, 0.0)
+        f.dirichlet = np.ones((4, 4), dtype=bool)
         with pytest.raises(GridMismatchError):
-            dirichlet_solve(f, unknown=np.ones((4, 4), dtype=bool))
+            dirichlet_solve(f)
 
 
 class TestGradient:
@@ -124,10 +130,16 @@ class TestGradient:
         expected = f0 * f0 / 1.09
         assert abs(gsq[48, 0] - expected) <= 5e-3
 
-    def test_interior_only_flag(self):
+    def test_boundary_node_allowed(self):
+        f = make_field(16, 16, 0.0)
+        f.values = np.outer(f.r, np.ones_like(f.phi))
+        assert gradient_c(f, 0, 3) == gradient_sq_field(f)[0, 3]
+
+    @pytest.mark.parametrize("i,j", [(-1, 3), (16, 3), (3, -1), (3, 16)])
+    def test_node_outside_grid_rejected(self, i, j):
         f = make_field(16, 16, 0.0)
         with pytest.raises(InvalidParameterError):
-            gradient_c(f, 0, 3, interior_only=True)
+            gradient_c(f, i, j)
 
 
 class TestFieldFromSolution:
@@ -151,15 +163,17 @@ class TestFieldValidation:
         with pytest.raises(InvalidParameterError):
             make_field(2, 8, 0.0)
 
-    def test_geometric_spacing(self):
-        f = make_field(16, 8, 0.0, r_min=0.05, spacing="geometric")
-        ratios = f.r[1:] / f.r[:-1]
-        assert np.allclose(ratios, ratios[0])
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+    def test_invalid_slope_rejected(self, c):
+        with pytest.raises(InvalidParameterError):
+            make_field(8, 8, c)
+        with pytest.raises(InvalidParameterError):
+            minimize(MinimizeConfig(c=c, nr=16, nphi=16), np.ones(16))
 
 
 class TestSerialization:
     def test_text_round_trip(self, tmp_path, sol03):
-        f = field_from_solution(sol03, 24, 24)
+        f = field_from_solution(sol03, 24, 24, r_min=0.0731)
         path = tmp_path / "field.txt"
         save_field_text(f, path)
         g = load_field_text(path)
@@ -167,6 +181,24 @@ class TestSerialization:
         assert np.array_equal(g.values, f.values)
         assert g.c == f.c
         assert g.r_min == f.r_min
+        assert np.array_equal(g.r, f.r)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["Nphi=4", "r_min=0.25", "c=0"] + ["0 0 0 0"] * 4,
+            ["Nr=four", "Nphi=4", "r_min=0.25", "c=0"] + ["0 0 0 0"] * 4,
+            ["Nr=4", "Nphi=4", "r_min=", "c=0"] + ["0 0 0 0"] * 4,
+            ["Nr=4", "Nphi=4", "r_min=0.25"] + ["0 0 0 0"] * 4,
+            ["Nr=4", "Nphi=4", "r_min=0.25", "c=0"] + ["0 0 x 0"] + ["0 0 0 0"] * 3,
+            ["Nr=4", "Nphi=4", "r_min=0.25", "c=0"] + ["0 0 0"] + ["0 0 0 0"] * 3,
+        ],
+    )
+    def test_bad_snapshot_rejected(self, tmp_path, lines):
+        path = tmp_path / "field.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridMismatchError):
+            load_field_text(path)
 
     def test_csv_export(self, tmp_path, sol03):
         f = field_from_solution(sol03, 8, 8)

@@ -7,6 +7,7 @@ from conefbp.errors import GridMismatchError, InvalidParameterError
 from conefbp.grid import field_from_solution, make_field
 from conefbp.minimize import (
     MinimizeConfig,
+    _vertex_touch,
     compare_to_symmetric,
     energy,
     free_boundary_angle,
@@ -63,6 +64,7 @@ class TestMinimize:
         res = minimize(cfg, boundary_from_solution(sol01, 64))
         ref = field_from_solution(sol01, 64, 64)
         assert res.energy <= energy(ref) + 1e-8
+        assert res.energy == energy(res.field)
         assert all(b <= a + 1e-12 for a, b in zip(res.outer_energies, res.outer_energies[1:]))
 
     def test_descent_moves_nonharmonic_data(self):
@@ -76,6 +78,7 @@ class TestMinimize:
         res = minimize(cfg, boundary_from_solution(sol, 64))
         ref = field_from_solution(sol, 64, 64)
         _, gap, touch = compare_to_symmetric(res.field, reference=ref)
+        assert res.energy == energy(res.field)
         assert gap < -1.0
         assert not touch
 
@@ -116,14 +119,6 @@ class TestMinimize:
         with pytest.raises(GridMismatchError):
             minimize(cfg, np.ones(7))
 
-    def test_schedule_validation(self):
-        cfg = MinimizeConfig(c=0.1, nr=16, nphi=16, eps_schedule=(0.1, 0.2))
-        with pytest.raises(InvalidParameterError):
-            minimize(cfg, np.ones(16))
-        low = MinimizeConfig(c=0.1, nr=16, nphi=16, eps_schedule=(0.5, 1e-6))
-        with pytest.raises(InvalidParameterError):
-            minimize(low, np.ones(16))
-
 
 class TestFreeBoundaryAngle:
     def test_sampled_solution_rows_align(self, sol03):
@@ -158,3 +153,49 @@ class TestCompare:
         b = field_from_solution(sol03, 32, 32)
         with pytest.raises(GridMismatchError):
             compare_to_symmetric(a, reference=b)
+
+
+def _vertex_touch_loop(fld):
+    """Node-by-node reference: a zero node near the puncture with a positive neighbour."""
+    near = fld.r <= 2.0 * fld.r_min + 1e-15
+    if not (fld.values[near] <= 0.0).any():
+        return False
+    pos = fld.values > 0.0
+    for i in np.nonzero(near)[0]:
+        for j in range(fld.shape[1]):
+            if fld.values[i, j] > 0.0:
+                continue
+            neighbors = []
+            if i > 0:
+                neighbors.append(pos[i - 1, j])
+            if i + 1 < fld.shape[0]:
+                neighbors.append(pos[i + 1, j])
+            if j > 0:
+                neighbors.append(pos[i, j - 1])
+            if j + 1 < fld.shape[1]:
+                neighbors.append(pos[i, j + 1])
+            if any(neighbors):
+                return True
+    return False
+
+
+class TestVertexTouch:
+    @pytest.mark.parametrize("r_min", [0.01, 0.3, 0.5])  # one, a few or all rows near the vertex
+    @pytest.mark.parametrize("nr,nphi", [(5, 6), (9, 4)])
+    def test_matches_node_loop(self, nr, nphi, r_min):
+        # every single-positive-node mask, every radial and angular cut
+        # (either side positive), then seeded random masks of mixed density
+        rng = np.random.default_rng(nr * nphi)
+        i, j = np.indices((nr, nphi))
+        masks = list(np.eye(nr * nphi, dtype=bool).reshape(-1, nr, nphi))
+        masks += [m for k in range(nr) for m in (i <= k, i > k)]
+        masks += [m for k in range(nphi) for m in (j <= k, j > k)]
+        masks += [rng.random((nr, nphi)) < d for d in rng.choice([0.05, 0.2, 0.5, 0.9, 1.0], 300)]
+        f = make_field(nr, nphi, 0.0, r_min=r_min)
+        seen = set()
+        for mask in masks:
+            f.values = mask * (0.5 + rng.random((nr, nphi)))
+            expected = _vertex_touch_loop(f)
+            assert _vertex_touch(f) is expected
+            seen.add(expected)
+        assert seen == {True, False}
