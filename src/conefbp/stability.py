@@ -29,7 +29,7 @@ from .errors import (
     InvalidTestFunctionError,
     PropertyViolationError,
 )
-from .grid import edge_apply
+from .grid import _stiffness, edge_apply
 from .ode import beta_half_profile, symmetric_solution
 from .quadrature import simpson_uniform, trapezoid_weights
 
@@ -278,16 +278,6 @@ def _annulus(c, R, num_r, num_phi, step):
     m = np.exp(rho) * trapezoid_weights(rho)
     b = np.sin(0.5 * (phi[1:] + phi[:-1])) / (phi[1] - phi[0])
     return rho, phi, (a, d, m, b), abs(sol.t0)
-
-
-def _stiffness(w):
-    """Dense 1-D stiffness matrix of the edge weights w, free at both ends."""
-    k = np.zeros((len(w) + 1, len(w) + 1))
-    i = np.arange(len(w))
-    k[i, i] += w
-    k[i + 1, i + 1] += w
-    k[i, i + 1] = k[i + 1, i] = -w
-    return k
 
 
 def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> float:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conefbp import grid
+from conefbp.barriers import BarrierConfig, _cut_edges, audit_pair, supersolution_lift_check
 from conefbp.errors import ConvergenceFailureError, GridMismatchError, InvalidParameterError
 from conefbp.grid import (
     apply_laplace_beltrami,
+    dirichlet_edge_weights,
     dirichlet_solve,
     field_from_solution,
     field_to_csv,
@@ -88,9 +90,11 @@ class TestDirichletSolve:
         assert e1 / e2 >= 3.5
 
     def test_nonconvergence_carries_log(self, monkeypatch):
+        # masked, so the full-grid preconditioner is not exact (12 iterations)
         monkeypatch.setattr(grid, "_CG_MAX_ITER", 3)
         f = make_field(24, 24, 0.0)
         f.values[-1, :] = 1.0 + np.sin(f.phi)
+        f.dirichlet[:, 16:] = True
         with pytest.raises(ConvergenceFailureError) as err:
             dirichlet_solve(f)
         assert err.value.log
@@ -106,6 +110,86 @@ class TestDirichletSolve:
         f.dirichlet = np.ones((4, 4), dtype=bool)
         with pytest.raises(GridMismatchError):
             dirichlet_solve(f)
+
+    @staticmethod
+    def _dense_solve(f, wr, wp):
+        # assemble the edge form node by node and solve its unknown block
+        nr, nphi = f.shape
+        a = np.zeros((nr * nphi, nr * nphi))
+        edges = [((i, j), (i + 1, j), wr[i, j]) for i in range(nr - 1) for j in range(nphi)]
+        edges += [((i, j), (i, j + 1), wp[i, j]) for i in range(nr) for j in range(nphi - 1)]
+        for p, q, w in edges:
+            k, m = p[0] * nphi + p[1], q[0] * nphi + q[1]
+            a[k, k] += w
+            a[m, m] += w
+            a[k, m] -= w
+            a[m, k] -= w
+        fixed = f.dirichlet.ravel()
+        u = np.where(fixed, f.values.ravel(), 0.0)
+        u[~fixed] = np.linalg.solve(a[np.ix_(~fixed, ~fixed)], -a[np.ix_(~fixed, fixed)] @ u[fixed])
+        return u.reshape(f.shape)
+
+    def test_full_grid_matches_dense_solve_in_one_iteration(self, monkeypatch):
+        monkeypatch.setattr(grid, "_CG_MAX_ITER", 1)
+        f = make_field(9, 7, 0.6, r_min=0.15)
+        f.values[-1, :] = 1.0 + np.cos(f.phi) ** 2
+        exact = self._dense_solve(f, *dirichlet_edge_weights(f))
+        out = dirichlet_solve(f).values
+        assert np.abs(out - exact).max() <= 1e-9 * np.abs(exact).max()
+
+    def test_plane_cut_matches_dense_solve(self):
+        f = make_field(9, 7, 0.3)
+        psi = np.outer(f.r, np.cos(f.phi)) - math.cos(1.9)
+        inside = psi > 0.0
+        f.values[-1, inside[-1]] = 2.0 + np.sin(f.phi[inside[-1]])
+        f.dirichlet = ~inside
+        f.dirichlet[-1, :] = True
+        cut_r, theta_r = _cut_edges(psi, inside)
+        cut_p, theta_p = _cut_edges(psi.T, inside.T)
+        assert cut_r.any() and cut_p.any()
+        scale = (np.where(cut_r, 1.0 / theta_r, 1.0), np.where(cut_p, 1.0 / theta_p, 1.0).T)
+        wr, wp = dirichlet_edge_weights(f)
+        exact = self._dense_solve(f, wr * scale[0], wp * scale[1])
+        out = dirichlet_solve(f, weight_scale=scale).values
+        assert np.abs(out - exact).max() <= 1e-9 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_dirichlet_data_rejected(self, bad):
+        f = make_field(8, 8, 0.0)
+        f.values[-1, :] = 1.0
+        f.values[-1, 3] = bad
+        with pytest.raises(InvalidParameterError):
+            dirichlet_solve(f)
+
+    def test_weight_scale_shape_checked(self):
+        f = make_field(8, 8, 0.0)
+        f.values[-1, :] = 1.0
+        with pytest.raises(GridMismatchError):
+            dirichlet_solve(f, weight_scale=(np.ones((8, 8)), np.ones((8, 7))))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_weight_scale_values_checked(self, bad):
+        f = make_field(8, 8, 0.0)
+        f.values[-1, :] = 1.0
+        scale = (np.ones((7, 8)), np.ones((8, 7)))
+        scale[1][2, 3] = bad
+        with pytest.raises(InvalidParameterError):
+            dirichlet_solve(f, weight_scale=scale)
+
+    def test_free_outer_row_rejected(self):
+        f = make_field(8, 8, 0.0)
+        f.values[-1, :] = 1.0
+        f.dirichlet[-1, 4] = False
+        with pytest.raises(InvalidParameterError):
+            dirichlet_solve(f)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_lift_solve_needs_few_iterations(self, monkeypatch, sol01, n):
+        # Jacobi-preconditioned CG needed 571 (128^2) and 1,179 (256^2) iterations
+        monkeypatch.setattr(grid, "_CG_MAX_ITER", 150)
+        phi2 = audit_pair(0.1, 16.0, num=10001).phi2
+        rep = supersolution_lift_check(BarrierConfig(c=0.1, M=16.0, phi2=phi2), nr=n, nphi=n, sol=sol01)
+        assert rep.lift_gradient_ok
 
 
 class TestGradient:
@@ -135,6 +219,13 @@ class TestGradient:
         f.values = np.outer(f.r, np.ones_like(f.phi))
         assert gradient_c(f, 0, 3) == gradient_sq_field(f)[0, 3]
 
+    def test_node_value_is_the_field_value(self, rng):
+        f = make_field(7, 6, 0.8, r_min=0.23, values=rng.random((7, 6)))
+        full = gradient_sq_field(f)
+        for i in range(7):
+            for j in range(6):
+                assert gradient_c(f, i, j) == full[i, j]
+
     @pytest.mark.parametrize("i,j", [(-1, 3), (16, 3), (3, -1), (3, 16)])
     def test_node_outside_grid_rejected(self, i, j):
         f = make_field(16, 16, 0.0)
@@ -158,6 +249,20 @@ class TestFieldValidation:
     def test_negative_values_rejected(self):
         with pytest.raises(InvalidParameterError):
             make_field(8, 8, 0.0, values=-np.ones((8, 8)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_values_rejected(self, tmp_path, bad):
+        values = np.ones((8, 8))
+        values[2, 5] = bad
+        with pytest.raises(InvalidParameterError):
+            make_field(8, 8, 0.0, values=values)
+        path = tmp_path / "field.txt"
+        save_field_text(make_field(8, 8, 0.0, values=np.ones((8, 8))), path)
+        lines = path.read_text().splitlines()
+        lines[4 + 2] = " ".join(["1"] * 5 + [repr(bad)] + ["1"] * 2)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError):
+            load_field_text(path)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
