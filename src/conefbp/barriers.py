@@ -1,13 +1,14 @@
 """Certification of explicit sub- and supersolution barriers.
 
-The barrier family r f(phi) -/+ eps r^beta (M - cos phi) traps the
-symmetric solution when three computable facts hold: the separated
-factor r^beta (M - cos phi) is superharmonic on the cone, the squared
-metric gradient along the implicit zero set decreases strictly in phi
-below the free-boundary angle (its phi-derivative splits into the three
-displayed terms I + II + III), and on the supersolution side a pasting
-angle phi2 beyond the free boundary keeps the third term negative.  The
-pasted lift (harmonic in the ball above the plane x3 = cos(phi2), zero
+The barrier family r f(phi) -/+ eps r^beta (M - cos phi), with the
+exponent fixed at beta = BETA = -1/2, traps the symmetric solution when
+three computable facts hold: the separated factor r^beta (M - cos phi)
+is superharmonic on the cone, the squared metric gradient along the
+implicit zero set decreases strictly in phi below the free-boundary
+angle (its phi-derivative splits into the three displayed terms
+I + II + III), and on the supersolution side a pasting angle phi2
+beyond the free boundary keeps the third term negative.  The pasted
+lift (harmonic in the ball above the plane x3 = cos(phi2), zero
 on the plane) must have metric gradient below one on the plane and
 radial flux above the outer barrier's on the sphere.  Every audit here
 is a pure decision over sampled grids with worst-node reporting; the
@@ -25,6 +26,9 @@ import numpy as np
 from .errors import InvalidParameterError, NoZeroError
 from .grid import _d_dr, dirichlet_solve, make_field
 from .ode import symmetric_solution
+
+BETA = -0.5
+DYADIC_OFFSETS = tuple(float(2**k) for k in range(2, 11))
 
 __all__ = [
     "BarrierConfig",
@@ -47,17 +51,14 @@ class BarrierConfig:
 
     c: float
     M: float
-    beta: float = -0.5
     phi2: float | None = None
 
     def __post_init__(self):
-        given = (self.c, self.M, self.beta) + (() if self.phi2 is None else (self.phi2,))
+        given = (self.c, self.M) + (() if self.phi2 is None else (self.phi2,))
         if not all(math.isfinite(v) for v in given):
             raise InvalidParameterError("barrier parameters must be finite")
         if self.M <= 1.0:
             raise InvalidParameterError("barrier offset M must exceed 1")
-        if not -1.0 < self.beta < 0.0:
-            raise InvalidParameterError("barrier exponent must lie in (-1, 0)")
         if self.c < 0.0:
             raise InvalidParameterError("cone slope must be nonnegative")
 
@@ -78,7 +79,7 @@ class BarrierReport:
     def to_dict(self) -> dict:
         return {
             "c": self.config.c,
-            "beta": self.config.beta,
+            "beta": BETA,
             "M": self.config.M,
             "phi2": self.phi2,
             "checks": {
@@ -102,14 +103,14 @@ def laplacian_sign_audit(config: BarrierConfig, num: int = 10001):
     worst value).
     """
     phi = np.linspace(0.0, math.pi, num)
-    lam = config.beta * (config.beta + 1.0) / (1.0 + config.c**2)
+    lam = BETA * (BETA + 1.0) / (1.0 + config.c**2)
     bracket = lam * (config.M - np.cos(phi)) + 2.0 * np.cos(phi)
     k = int(np.argmax(bracket))
     worst = float(bracket[k])
     return worst <= 0.0, float(phi[k]), worst
 
 
-def decomposition_terms(f, fp, phi, c, M, beta=-0.5):
+def decomposition_terms(f, fp, phi, c, M):
     """The three displayed terms of d/dphi |grad_c v|^2 / 2 on the zero set.
 
     g = M - cos(phi) enters analytically; f'' is never differenced, the
@@ -123,7 +124,7 @@ def decomposition_terms(f, fp, phi, c, M, beta=-0.5):
     gp = np.sin(phi)
     gpp = np.cos(phi)
     q = (g * gpp - gp**2) / g**2
-    term1 = ((1.0 - beta) ** 2 / one - 2.0 / one - q) * f * fp
+    term1 = ((1.0 - BETA) ** 2 / one - 2.0 / one - q) * f * fp
     term2 = f**2 * (gp / g) * (2.0 / one + q)
     term3 = (fp - f * gp / g) * (np.cos(phi) / np.sin(phi) + gp / g) * (-fp)
     return term1, term2, term3
@@ -132,7 +133,7 @@ def decomposition_terms(f, fp, phi, c, M, beta=-0.5):
 def _zero_set_gradient(config: BarrierConfig, f, fp, phi):
     """(1-beta)^2 f^2/(1+c^2) + (f' - f g'/g)^2 with g = M - cos(phi)."""
     g = config.M - np.cos(phi)
-    return (1.0 - config.beta) ** 2 * f**2 / (1.0 + config.c**2) + (fp - f * np.sin(phi) / g) ** 2
+    return (1.0 - BETA) ** 2 * f**2 / (1.0 + config.c**2) + (fp - f * np.sin(phi) / g) ** 2
 
 
 def gradient_on_zero_set(config: BarrierConfig, sol=None, num: int = 2001, side="sub"):
@@ -165,8 +166,8 @@ def gradient_on_zero_set(config: BarrierConfig, sol=None, num: int = 2001, side=
     return phi, vals, ok
 
 
-def derivative_decomposition(config: BarrierConfig, sol=None, num: int = 2001, phi_lo: float = 0.02):
-    """Sampled decomposition rows on (phi_lo, phi0] and their worst value.
+def derivative_decomposition(config: BarrierConfig, sol=None, num: int = 2001):
+    """Sampled decomposition rows on [0.02, phi0] and their worst value.
 
     Returns (rows, margin) where rows stacks (phi, I, II, III) and
     margin is the most positive I + II + III; a negative margin
@@ -174,33 +175,34 @@ def derivative_decomposition(config: BarrierConfig, sol=None, num: int = 2001, p
     """
     if sol is None:
         sol = symmetric_solution(config.c)
-    phi = np.linspace(phi_lo, sol.phi0, num)
+    phi = np.linspace(0.02, sol.phi0, num)
     f, fp = sol.profile.sample(phi)
-    t1, t2, t3 = decomposition_terms(f, fp, phi, config.c, config.M, config.beta)
+    t1, t2, t3 = decomposition_terms(f, fp, phi, config.c, config.M)
     rows = np.column_stack([phi, t1, t2, t3])
     margin = float((t1 + t2 + t3).max())
     return rows, margin
 
 
-def _super_window(config: BarrierConfig, sol, num: int = 2001, lo_off=0.05, hi_off=0.3):
-    """Largest pasting angle in (phi0+lo, phi0+hi) with III < 0 and |grad| <= 1."""
-    phi = np.linspace(sol.phi0 + 1e-9, min(sol.phi0 + hi_off, math.pi - 1e-6), num)
+def _super_window(config: BarrierConfig, sol, num: int = 2001):
+    """Pasting angle in (phi0 + 0.05, phi0 + 0.3) with III < 0 and |grad| <= 1."""
+    hi = sol.phi0 + 0.3
+    phi = np.linspace(sol.phi0 + 1e-9, min(hi, math.pi - 1e-6), num)
     f, fp = sol.profile.sample(phi)
-    _, _, t3 = decomposition_terms(f, fp, phi, config.c, config.M, config.beta)
+    _, _, t3 = decomposition_terms(f, fp, phi, config.c, config.M)
     bad = (t3 >= 0.0) | (_zero_set_gradient(config, f, fp, phi) > 1.0 + 1e-9)
     if bad.any():
         limit = phi[int(np.argmax(bad))]
     else:
         limit = phi[-1]
-    lo = sol.phi0 + lo_off
+    lo = sol.phi0 + 0.05
     if limit <= lo:
         return None
-    return 0.5 * (lo + min(limit, sol.phi0 + hi_off))
+    return 0.5 * (lo + min(limit, hi))
 
 
-def audit_pair(c: float, M: float, beta: float = -0.5, num: int = 2001, sol=None) -> BarrierReport:
+def audit_pair(c: float, M: float, num: int = 2001, sol=None) -> BarrierReport:
     """Run the subsolution and window audits for one (c, M)."""
-    config = BarrierConfig(c=c, M=M, beta=beta)
+    config = BarrierConfig(c=c, M=M)
     ok_lap, worst_phi, worst_val = laplacian_sign_audit(config, num=num)
     report = BarrierReport(
         config=config,
@@ -226,23 +228,22 @@ def audit_pair(c: float, M: float, beta: float = -0.5, num: int = 2001, sol=None
     return report
 
 
-def admissible_parameter_search(c_grid, Ms=None, beta: float = -0.5, num: int = 2001):
+def admissible_parameter_search(c_grid, num: int = 2001):
     """Largest slope with a certifying dyadic offset M.
 
-    For each slope the dyadic offsets are tried in turn; a certificate
-    needs the superharmonicity audit, a strictly negative decomposition
-    margin, the zero-set gradient bound, and a nonempty pasting window.
+    For each slope the dyadic offsets 4, 8, ..., 1024 are tried in turn;
+    a certificate needs the superharmonicity audit, a strictly negative
+    decomposition margin, the zero-set gradient bound, and a nonempty
+    pasting window.
     Returns (c_barrier, reports); c_barrier is None when nothing
     certifies.
     """
-    if Ms is None:
-        Ms = tuple(float(2**k) for k in range(2, 11))
     reports = []
     c_barrier = None
     for c in c_grid:
         sol = symmetric_solution(float(c))
-        for M in Ms:
-            rep = audit_pair(float(c), float(M), beta=beta, num=num, sol=sol)
+        for M in DYADIC_OFFSETS:
+            rep = audit_pair(float(c), M, num=num, sol=sol)
             reports.append(rep)
             if rep.certified:
                 if c_barrier is None or c > c_barrier:
@@ -381,7 +382,7 @@ def supersolution_lift_check(config: BarrierConfig, nr: int = 128, nphi: int = 1
     if not cols.any():
         raise InvalidParameterError("no sphere column of the lift lies inside its domain")
     dv = _d_dr(v[-3:, cols], r[-3:])[-1]
-    outer = f[cols] + eps * config.beta * (M - np.cos(phi[cols]))
+    outer = f[cols] + eps * BETA * (M - np.cos(phi[cols]))
     flux_margin = float((dv - outer).min())
     ok = flat_margin > 0.0 and flux_margin > 0.0
     sup_err = None
@@ -428,13 +429,15 @@ def _fd_hessian_gradient(fn, x, h):
     return grad, hess
 
 
-def hessian_gradient_inequality(fn, points, h: float = 1e-4) -> float:
+def hessian_gradient_inequality(fn, points) -> float:
     """Minimum of sum Hess(u)_ij^2 - 2 |grad u|^2 over sphere points.
 
     u is the zero-homogeneous extension of the sphere function fn; the
     inequality holds pointwise for every such extension.  Derivatives
-    come from central differences, Richardson-extrapolated.
+    come from central differences at steps 1e-4 and 5e-5,
+    Richardson-extrapolated.
     """
+    h = 1e-4
     worst = math.inf
     for x in points:
         g1, h1 = _fd_hessian_gradient(fn, x, h)

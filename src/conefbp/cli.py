@@ -245,11 +245,9 @@ def _sweep_point(task):
             return ("ok", (value, sol.phi0))
         if name == "morgan":
             return ("ok", (int(value), morgan_threshold(int(value))))
-        if name == "minimize":
-            res, ref = _minimize_against_symmetric(value, args_dict["step"], args_dict["grid"])
-            _, gap, touch = compare_to_symmetric(res.field, reference=ref)
-            return ("ok", (value, res.energy, gap, res.fb_mean, touch))
-        return ("error: unknown subcommand", None)
+        res, ref = _minimize_against_symmetric(value, args_dict["step"], args_dict["grid"])
+        _, gap, touch = compare_to_symmetric(res.field, reference=ref)
+        return ("ok", (value, res.energy, gap, res.fb_mean, touch))
     except Exception as exc:  # per-point failures land in the row status
         return (f"error: {exc}", None)
 
@@ -268,8 +266,12 @@ def _cmd_sweep(args, out):
     sub = args.subcommand
     if sub not in _SWEEP_COLUMNS:
         raise InvalidParameterError(f"sweep does not support subcommand {sub!r}")
+    # a bad shared grid or a non-integer k would fail or be truncated: reject it up front
     if sub == "minimize":
-        make_field(*args.grid, 0.0)  # a bad shared grid fails every point: reject it up front
+        make_field(*args.grid, 0.0)
+    if sub == "morgan":
+        for k in grid_values:
+            morgan_threshold(float(k))
     header = _SWEEP_COLUMNS[sub] + ("status",)
     shared = {"step": args.step, "grid": args.grid}
     tasks = [(sub, v, shared) for v in grid_values]

@@ -64,6 +64,7 @@ PHI_CAP = 2.2
 _TAIL_STEP_FACTOR = 40.0
 _TAIL_PAD = 30.0
 _HALVING_TOL = 1e-9
+_ORDERING_TOL = 1e-8
 
 
 def pole_series(lam: float, phi, f0: float = 1.0, order: int = 6):
@@ -502,12 +503,15 @@ class SymmetricSolution:
         return self.profile.value(phi)
 
 
-def symmetric_solution(c, step=DEFAULT_STEP, phi_max=None) -> SymmetricSolution:
+def _phi_max(step) -> float:
+    """Far end of the angular grid: PHI_CAP, or 40 steps short of pi."""
+    return min(PHI_CAP, math.pi - 40.0 * step)
+
+
+def symmetric_solution(c, step=DEFAULT_STEP) -> SymmetricSolution:
     """Build the normalized symmetric solution for slope c."""
     c = float(c)
-    if phi_max is None:
-        phi_max = min(PHI_CAP, math.pi - 40.0 * step)
-    prof = integrate_profile(1.0, c, phi_max, step=step)
+    prof = integrate_profile(1.0, c, _phi_max(step), step=step)
     phi0, tau0, slope = _locate_zero(prof)
     scale = -1.0 / slope
     norm = prof.scaled(scale)
@@ -525,16 +529,14 @@ def symmetric_solution(c, step=DEFAULT_STEP, phi_max=None) -> SymmetricSolution:
     )
 
 
-def beta_half_profile(c, step=DEFAULT_STEP, phi_max=None) -> RadialProfile:
+def beta_half_profile(c, step=DEFAULT_STEP) -> RadialProfile:
     """Comparison profile with exponent -1/2, positive and nondecreasing.
 
     Positivity and monotonicity are audited on the angular grid and on
     the stretched-variable tail out to the equivalent of pi - 10*step.
     """
     c = float(c)
-    if phi_max is None:
-        phi_max = min(PHI_CAP, math.pi - 40.0 * step)
-    prof = integrate_profile(-0.5, c, phi_max, step=step)
+    prof = integrate_profile(-0.5, c, _phi_max(step), step=step)
     if np.any(prof.values <= 0.0):
         raise PropertyViolationError("comparison profile lost positivity on the grid")
     if np.any(prof.derivs < -1e-12):
@@ -560,8 +562,8 @@ class OrderingReport:
     values_ordered: bool
 
 
-def log_derivative_ordering(c1, c2, step=DEFAULT_STEP, tol=1e-8) -> OrderingReport:
-    """Check g'_{c1}/g_{c1} >= g'_{c2}/g_{c2} pointwise for c1 < c2.
+def log_derivative_ordering(c1, c2, step=DEFAULT_STEP) -> OrderingReport:
+    """Check g'_{c1}/g_{c1} >= g'_{c2}/g_{c2} pointwise for c1 < c2, to 1e-8.
 
     Both profiles are normalized to 1 at the pole, compared on their
     common angular grid and on a shared stretched-variable audit range.
@@ -591,6 +593,6 @@ def log_derivative_ordering(c1, c2, step=DEFAULT_STEP, tol=1e-8) -> OrderingRepo
         n_points=int(gap.size),
         min_ratio_gap=min_gap,
         min_value_gap=min_vgap,
-        ordering_holds=bool(min_gap >= -tol),
-        values_ordered=bool(c1 == c2 or min_vgap >= -tol),
+        ordering_holds=bool(min_gap >= -_ORDERING_TOL),
+        values_ordered=bool(c1 == c2 or min_vgap >= -_ORDERING_TOL),
     )

@@ -5,15 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 48) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Adaptive Simpson rule with absolute tolerance ``tol``.
 
     Recursion uses the standard Richardson /15 acceptance test; depth is
-    capped so pathological integrands terminate.
+    capped at 48 so pathological integrands terminate.
     """
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, 48)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -38,23 +38,6 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
     if n < 3 or n % 2 == 0:
         raise ValueError("simpson_uniform needs an odd number of samples >= 3")
     return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
-
-
-def simpson_2d(values: np.ndarray, hx: float, hy: float) -> float:
-    """Tensor-product composite Simpson on a uniform 2D grid."""
-    v = np.asarray(values, dtype=float)
-    if v.shape[0] % 2 == 0 or v.shape[1] % 2 == 0:
-        raise ValueError("simpson_2d needs odd sample counts in both directions")
-    wx = _simpson_weights(v.shape[0], hx)
-    wy = _simpson_weights(v.shape[1], hy)
-    return float(wx @ v @ wy)
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:

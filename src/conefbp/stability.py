@@ -76,15 +76,14 @@ class StabilityReport:
         }
 
 
-def stability_margin(
-    c, step=_SWEEP_STEP, with_steklov=False, steklov_R=32.0, steklov_grid=(257, 129)
-) -> StabilityReport:
+def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport:
     """Evaluate margin = g'(phi0) - H1 g(phi0) for the slope-c cone.
 
     The product form avoids dividing by H1, so the flat cone (H1 = 0) is
     regular.  The equivalent ratio -(sin/cos)(g'/g) at phi0 is reported
     only when the zero sits strictly beyond the equator, where the two
-    forms are algebraically equivalent.
+    forms are algebraically equivalent.  with_steklov adds the discrete
+    quotient minimum on (1/32, 32) at the default 257 x 129 grid.
     """
     sol = symmetric_solution(c, step=step)
     g = beta_half_profile(c, step=step)
@@ -101,9 +100,7 @@ def stability_margin(
         ratio = -(sol.sin_phi0 / sol.t0) * (gp / gv)
     lam = None
     if with_steklov:
-        lam = steklov_min_quotient(
-            c, steklov_R, num_r=steklov_grid[0], num_phi=steklov_grid[1], step=step
-        )
+        lam = steklov_min_quotient(c, 32.0, step=step)
     return StabilityReport(
         c=float(c),
         phi0=sol.phi0,
@@ -188,32 +185,29 @@ def _check_radial_support(F, lo=0.02, hi=0.98):
     return peak
 
 
-def radial_instability_witness(c, F, Fprime=None, num_r=4097, num_phi=513, step=_SWEEP_STEP):
+def radial_instability_witness(c, F, step=_SWEEP_STEP):
     """Surface and bulk integrals of the radial second-variation test.
 
     Returns (lhs, rhs) with lhs the free-boundary surface integral of
     H F^2 and rhs the metric Dirichlet integral of the radial extension
     of F over the positivity cone, both by direct tensor quadrature in
-    spherical coordinates with the flat volume normalization of the
-    variational inequality.
+    spherical coordinates (4097 radii, 513 angles) with the flat volume
+    normalization of the variational inequality.  F' is F.deriv; an F
+    with support and without it raises InvalidTestFunctionError.
     """
     sol = symmetric_solution(c, step=step)
     peak = _check_radial_support(F)
     if peak == 0.0:
         return 0.0, 0.0
-    if Fprime is None:
-        Fprime = getattr(F, "deriv", None)
-    r = np.linspace(0.0, 1.0, num_r)
+    if not hasattr(F, "deriv"):
+        raise InvalidTestFunctionError("radial test function needs a deriv method")
+    r = np.linspace(0.0, 1.0, 4097)
     fvals = np.asarray(F(r), dtype=float)
     # lhs: H = H1/r against the flat surface measure r sin(phi0) dr dtheta
     integrand = (sol.H1 / np.where(r == 0.0, 1.0, r)) * fvals**2 * (r * sol.sin_phi0) * 2.0 * math.pi
     lhs = simpson_uniform(integrand, r[1] - r[0])
-    if Fprime is not None:
-        fp = np.asarray(Fprime(r), dtype=float)
-    else:
-        h = 1e-6
-        fp = (np.asarray(F(np.clip(r + h, 0, 1)), dtype=float) - np.asarray(F(np.clip(r - h, 0, 1)), dtype=float)) / (2 * h)
-    phi = np.linspace(0.0, sol.phi0, num_phi if num_phi % 2 == 1 else num_phi + 1)
+    fp = np.asarray(F.deriv(r), dtype=float)
+    phi = np.linspace(0.0, sol.phi0, 513)
     radial = fp**2 / (1.0 + sol.c * sol.c) * r**2 * 2.0 * math.pi
     rad_int = simpson_uniform(radial, r[1] - r[0])
     ang_int = simpson_uniform(np.sin(phi), phi[1] - phi[0])
@@ -221,12 +215,13 @@ def radial_instability_witness(c, F, Fprime=None, num_r=4097, num_phi=513, step=
     return float(lhs), float(rhs)
 
 
-def second_variation_deficit(c, F, annulus, num_r=801, num_phi=401, fd_h=1e-6, step=_SWEEP_STEP):
+def second_variation_deficit(c, F, annulus, num_r=801, num_phi=401, step=_SWEEP_STEP):
     """Dirichlet integral minus boundary term for an axisymmetric test F.
 
     F is a callable of (r, phi) supported inside the annulus; partial
-    derivatives are taken by central differences.  A nonnegative deficit
-    for every admissible F is the discrete footprint of stability.
+    derivatives are taken by central differences with steps 1e-6 (R2 - R1)
+    and 1e-6 pi.  A nonnegative deficit for every admissible F is the
+    discrete footprint of stability.
     """
     r1, r2 = float(annulus[0]), float(annulus[1])
     if not 0.0 < r1 < r2:
@@ -239,8 +234,8 @@ def second_variation_deficit(c, F, annulus, num_r=801, num_phi=401, fd_h=1e-6, s
     edge = max(np.abs(vals[0]).max(), np.abs(vals[-1]).max())
     if edge > 1e-10 * (1.0 + np.abs(vals).max()):
         raise InvalidTestFunctionError("test function must vanish at the annulus ends")
-    hr = fd_h * (r2 - r1)
-    hp = fd_h * math.pi
+    hr = 1e-6 * (r2 - r1)
+    hp = 1e-6 * math.pi
     Fr = (np.asarray(F(R + hr, P), dtype=float) - np.asarray(F(R - hr, P), dtype=float)) / (2 * hr)
     Fp = (np.asarray(F(R, P + hp), dtype=float) - np.asarray(F(R, P - hp), dtype=float)) / (2 * hp)
     bulk = (Fr**2 / (1.0 + sol.c**2) + Fp**2 / R**2) * R**2 * np.sin(P) * 2.0 * math.pi

@@ -66,10 +66,14 @@ def _cumulative_bulk(fld: AxisymField):
 
 def weiss(fld: AxisymField, r: float) -> float:
     """Monitor value at one radius, interpolating between grid rings."""
+    return _weiss_at(fld, _cumulative_bulk(fld), r)
+
+
+def _weiss_at(fld: AxisymField, cum: np.ndarray, r: float) -> float:
+    """Monitor value at one radius from the field's cumulative bulk integral."""
     r = float(r)
     if not 2.0 * fld.r_min < r < 1.0 or r > fld.r[-1]:
         raise InvalidParameterError(f"radius {r} outside the measurable range")
-    cum = _cumulative_bulk(fld)
     # interpolate the scale-free density 3 cum / r^3, exact on
     # one-homogeneous fields where it is constant
     bulk = float(np.interp(r, fld.r, 3.0 * cum / fld.r**3)) * r**3 / 3.0
@@ -85,9 +89,10 @@ def weiss(fld: AxisymField, r: float) -> float:
 def weiss_trace(fld: AxisymField, num_radii: int = 16, r_lo=None, r_hi=None) -> WeissTrace:
     """Monitor on a log-spaced radius set with monotonicity summary.
 
-    monotone_violation is the most negative increment (0 when the trace
-    is non-decreasing); the homogeneity flag is set when the total
-    variation stays within five grid spacings.
+    The radii run from r_lo up to r_hi, which must be finite with
+    r_lo < r_hi.  monotone_violation is the most negative increment (0
+    when the trace is non-decreasing); the homogeneity flag is set when
+    the total variation stays within five grid spacings.
     """
     if num_radii < 4:
         raise InvalidParameterError("trace needs at least 4 radii")
@@ -95,8 +100,11 @@ def weiss_trace(fld: AxisymField, num_radii: int = 16, r_lo=None, r_hi=None) -> 
         r_lo = max(2.5 * fld.r_min, 0.05)
     if r_hi is None:
         r_hi = 0.9
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi) and r_lo < r_hi):
+        raise InvalidParameterError(f"trace radii need finite r_lo < r_hi, got {r_lo!r}, {r_hi!r}")
     radii = np.geomspace(r_lo, r_hi, num_radii)
-    values = np.array([weiss(fld, r) for r in radii])
+    cum = _cumulative_bulk(fld)
+    values = np.array([_weiss_at(fld, cum, r) for r in radii])
     inc = np.diff(values)
     violation = float(min(0.0, inc.min()))
     h = max(float(np.diff(fld.r).max()), float(fld.phi[1] - fld.phi[0]))

@@ -146,6 +146,8 @@ class TestExitCodes:
             # a grid every sweep point would reject
             ["sweep", "c=0:1:2", "minimize", "--grid", "1,1", "--jobs", "1"],
             ["sweep", "c=0:1:2", "minimize", "--grid", "4,3", "--jobs", "1"],
+            # a non-integer plane dimension, which the point would truncate
+            ["sweep", "k=2:3:4", "morgan", "--jobs", "1"],
         ],
     )
     def test_non_finite_value(self, tmp_path, argv):
@@ -154,6 +156,13 @@ class TestExitCodes:
 
 
 class TestSweep:
+    def test_morgan_sweep(self, tmp_path):
+        rc = main(["sweep", "k=2:4:3", "morgan", "--jobs", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "sweep_morgan_k.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["2", "3", "4"]
+        assert all(r.endswith(",ok") for r in rows[1:])
+
     def test_stability_sweep(self, tmp_path):
         rc = main(["sweep", "c=0:2:5", "stability", "--jobs", "1", "--out", str(tmp_path)])
         assert rc == 0

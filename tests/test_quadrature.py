@@ -5,7 +5,6 @@ import pytest
 
 from conefbp.quadrature import (
     adaptive_simpson,
-    simpson_2d,
     simpson_uniform,
     trapezoid_weights,
 )
@@ -29,13 +28,6 @@ def test_simpson_uniform_polynomial_exact():
 def test_simpson_uniform_rejects_even_counts():
     with pytest.raises(ValueError):
         simpson_uniform(np.ones(4), 0.1)
-
-
-def test_simpson_2d_separable():
-    x = np.linspace(0.0, 1.0, 41)
-    y = np.linspace(0.0, math.pi, 81)
-    vals = np.outer(x**2, np.sin(y))
-    assert abs(simpson_2d(vals, x[1] - x[0], y[1] - y[0]) - 2.0 / 3.0) < 1e-8
 
 
 def test_trapezoid_weights_sum_to_length():

@@ -73,7 +73,7 @@ class TestStabilityMargin:
         assert np.count_nonzero(signs[:-1] != signs[1:]) == 1
 
     def test_optional_quotient_field(self):
-        rep = stability_margin(0.2, with_steklov=True, steklov_R=8.0, steklov_grid=(65, 33))
+        rep = stability_margin(0.2, with_steklov=True)
         assert rep.steklov_lambda is not None
         assert rep.steklov_lambda > rep.ratio
         d = rep.to_dict()
@@ -158,6 +158,11 @@ class TestRadialWitness:
     def test_support_validation(self):
         with pytest.raises(InvalidTestFunctionError):
             radial_instability_witness(0.3, lambda r: np.ones_like(np.asarray(r, dtype=float)))
+
+    def test_supported_function_needs_deriv(self):
+        bump = SmoothBump(0.2, 0.9)
+        with pytest.raises(InvalidTestFunctionError, match="deriv"):
+            radial_instability_witness(0.3, lambda r: bump(r))
 
 
 class TestSecondVariationDeficit:

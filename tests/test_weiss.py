@@ -88,6 +88,19 @@ class TestWeissTrace:
         with pytest.raises(InvalidParameterError):
             weiss_trace(f, 3)
 
+    @pytest.mark.parametrize("r_lo,r_hi", [(0.9, 0.1), (0.5, 0.5), (math.nan, 0.9), (0.1, math.inf)])
+    def test_bounds_checked(self, sol03, r_lo, r_hi):
+        f = field_from_solution(sol03, 32, 32)
+        with pytest.raises(InvalidParameterError, match="r_lo < r_hi"):
+            weiss_trace(f, 8, r_lo, r_hi)
+
+    def test_values_equal_the_pointwise_monitor(self, sol03):
+        f = field_from_solution(sol03, 96, 96)
+        bump = 0.3 * np.exp(-((f.r[:, None] - 0.5) ** 2) / 0.002) * np.sin(f.phi[None, :])
+        g = f.with_values(np.clip(f.values + bump, 0.0, None))
+        tr = weiss_trace(g)
+        assert np.array_equal(tr.values, [weiss(g, r) for r in tr.radii])
+
 
 class TestRescaling:
     def test_identity_on_sampled_fields(self, sol03):
