@@ -56,6 +56,7 @@ class TestLaplacianSignAudit:
             {"c": 0.02, "M": math.inf},
             {"c": math.nan, "M": 16.0},
             {"c": math.inf, "M": 16.0},
+            {"c": 0.02, "M": 16.0, "phi2": math.inf},
             {"c": 0.02, "M": 16.0, "phi2": math.nan},
         ],
     )
