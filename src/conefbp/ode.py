@@ -13,10 +13,12 @@ series), carry dense cubic Hermite output, and verify themselves by
 mandatory step halving.  First zeros that sit exponentially close to
 the far pole are located in the stretched variable tau = log tan(phi/2),
 where the equation becomes the smooth u'' = -lam sech(tau)^2 u.  Both
-charts are linear, y'' = p y' + q y, so one RK4 loop integrates them
-from coefficient streams (p = -cot phi, q = -lam on the angular grid;
+charts are linear, y'' = p y' + q y, so one RK4 kernel integrates them
+from coefficient arrays (p = -cot phi, q = -lam on the angular grid;
 p = 0, q = -lam sech^2 tau on the tail) and one Hermite evaluator gives
-dense (value, slope) output on either.
+dense (value, slope) output on either.  Being linear, each RK4 step is
+a 2x2 matrix; the kernel builds the matrices with numpy in fixed blocks
+of steps and applies them in order in a plain-float loop.
 
 The module produces the normalized symmetric solution (beta = 1 profile
 rescaled to unit slope at its first zero) and the beta = -1/2 comparison
@@ -26,9 +28,7 @@ profiles whose logarithmic derivative drives the stability criterion.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -64,6 +64,9 @@ PHI_CAP = 2.2
 _TAIL_STEP_FACTOR = 40.0
 _TAIL_PAD = 30.0
 _HALVING_TOL = 1e-9
+# Steps per block of RK4 step matrices: bounds the numpy temporaries of
+# long runs (the halving check at the default step takes ~36k steps).
+_BLOCK = 2048
 _ORDERING_TOL = 1e-8
 
 
@@ -85,39 +88,58 @@ def pole_series(lam: float, phi, f0: float = 1.0, order: int = 6):
     return f0 * f, f0 * fp
 
 
+def _rk4_step(y, yp, h, p0, pm, p1, q0, qm, q1):
+    """One classical RK4 step for y'' = p y' + q y; the arguments may be arrays."""
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    l1 = p0 * yp + q0 * y
+    y2 = y + h2 * yp
+    p2 = yp + h2 * l1
+    l2 = pm * p2 + qm * y2
+    y3 = y + h2 * p2
+    p3 = yp + h2 * l2
+    l3 = pm * p3 + qm * y3
+    y4 = y + h * p3
+    p4 = yp + h * l3
+    l4 = p1 * p4 + q1 * y4
+    return y + h6 * (yp + 2.0 * (p2 + p3) + p4), yp + h6 * (l1 + 2.0 * (l2 + l3) + l4)
+
+
 def _rk4(y, yp, h, p, q):
     """Classical RK4 for y'' = p y' + q y from (y, yp) in steps of h.
 
-    p and q are iterables of the coefficients at the half-step nodes
-    x0, x0 + h/2, x0 + h, ...; the shorter of them sets the number of
-    steps (2n+1 coefficients give n steps).  Returns (y, y') at the
-    n+1 step nodes, starting with the initial data.
+    p and q are arrays (or scalars) of the coefficients at the half-step
+    nodes x0, x0 + h/2, x0 + h, ...; 2n+1 coefficients give n steps.
+    RK4 is linear in (y, y'), so each step is a 2x2 matrix of h and the
+    coefficients at its three half-nodes.  For each block of _BLOCK
+    steps, numpy builds the matrices at once (their columns are the step
+    applied to (1, 0) and (0, 1)) and a plain-float loop applies them in
+    order.  Returns (y, y') at the n+1 step nodes, starting with the
+    initial data.
     """
-    p = iter(p)
-    q = iter(q)
-    p0 = next(p)
-    q0 = next(q)
-    ys = array("d", [y])
-    yps = array("d", [yp])
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for pm, p1, qm, q1 in zip(p, p, q, q):
-        l1 = p0 * yp + q0 * y
-        y2 = y + h2 * yp
-        p2 = yp + h2 * l1
-        l2 = pm * p2 + qm * y2
-        y3 = y + h2 * p2
-        p3 = yp + h2 * l2
-        l3 = pm * p3 + qm * y3
-        y4 = y + h * p3
-        p4 = yp + h * l3
-        l4 = p1 * p4 + q1 * y4
-        y = y + h6 * (yp + 2.0 * (p2 + p3) + p4)
-        yp = yp + h6 * (l1 + 2.0 * (l2 + l3) + l4)
-        ys.append(y)
-        yps.append(yp)
-        p0, q0 = p1, q1
-    return np.frombuffer(ys), np.frombuffer(yps)
+    p, q = np.broadcast_arrays(p, q)
+    n = (p.size - 1) // 2
+    ys = np.empty(n + 1)
+    yps = np.empty(n + 1)
+    y, yp = float(y), float(yp)
+    ys[0], yps[0] = y, yp
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        # the 2(e - s) + 1 half-nodes of the block, shared at its ends
+        pb, qb = p[2 * s : 2 * e + 1], q[2 * s : 2 * e + 1]
+        coeffs = (pb[:-1:2], pb[1::2], pb[2::2], qb[:-1:2], qb[1::2], qb[2::2])
+        a, c = _rk4_step(1.0, 0.0, h, *coeffs)
+        b, d = _rk4_step(0.0, 1.0, h, *coeffs)
+        out_y = []
+        out_yp = []
+        # memoryviews hand out Python floats without a list of them
+        for a_, b_, c_, d_ in zip(memoryview(a), memoryview(b), memoryview(c), memoryview(d)):
+            y, yp = a_ * y + b_ * yp, c_ * y + d_ * yp
+            out_y.append(y)
+            out_yp.append(yp)
+        ys[s + 1 : e + 1] = out_y
+        yps[s + 1 : e + 1] = out_yp
+    return ys, yps
 
 
 def _rk4_angular(lam: float, step: float, phi_max: float):
@@ -128,12 +150,16 @@ def _rk4_angular(lam: float, step: float, phi_max: float):
         raise InvalidParameterError("angular range too short for the requested step")
     # nodes as integer multiples of the step: exact when step is a power of two
     grid = step * np.arange(10, 11 + n)
-    # math.tan, not np.tan: the two differ in the last bit at some nodes
-    tan = math.tan
-    p = (-1.0 / tan((10.0 + 0.5 * k) * step) for k in range(2 * n + 1))
+    # -cot at the half-nodes (10 + k/2) step, built in place: one array of 2n+1
+    p = np.arange(2 * n + 1, dtype=float)
+    p *= 0.5
+    p += 10.0
+    p *= step
+    np.tan(p, out=p)
+    np.divide(-1.0, p, out=p)
     y = 1.0 - 0.25 * lam * phi_eps * phi_eps
     yp = -0.5 * lam * phi_eps
-    f, fp = _rk4(y, yp, step, p, repeat(-lam))
+    f, fp = _rk4(y, yp, step, p, -lam)
     return grid, f, fp
 
 
@@ -229,8 +255,7 @@ class RadialProfile:
             tau0 = float(self._tail_tau[-1])
             n = max(8, int(math.ceil((max(tau_target, tau0) - tau0 + _TAIL_PAD) / h)))
             q = _tail_q(self.lam, tau0 + 0.5 * h * np.arange(2 * n + 1))
-            # a memoryview streams Python floats without a list of them
-            u, up = _rk4(float(self._tail_u[-1]), float(self._tail_up[-1]), h, repeat(0.0), memoryview(q))
+            u, up = _rk4(self._tail_u[-1], self._tail_up[-1], h, 0.0, q)
             self._tail_tau = np.concatenate([self._tail_tau, tau0 + h * np.arange(1, n + 1)])
             self._tail_u = np.concatenate([self._tail_u, u[1:]])
             self._tail_up = np.concatenate([self._tail_up, up[1:]])

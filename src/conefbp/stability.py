@@ -83,7 +83,9 @@ def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport
     regular.  The equivalent ratio -(sin/cos)(g'/g) at phi0 is reported
     only when the zero sits strictly beyond the equator, where the two
     forms are algebraically equivalent.  with_steklov adds the discrete
-    quotient minimum on (1/32, 32) at the default 257 x 129 grid.
+    quotient minimum on (1/32, 32) at the default 257 x 129 grid; it
+    stays None on the flat cone c = 0, whose free boundary has no mean
+    curvature to weight the quotient by.
     """
     sol = symmetric_solution(c, step=step)
     g = beta_half_profile(c, step=step)
@@ -99,7 +101,7 @@ def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport
     if sol.t0 < -1e-8:
         ratio = -(sol.sin_phi0 / sol.t0) * (gp / gv)
     lam = None
-    if with_steklov:
+    if with_steklov and c > 0.0:
         lam = steklov_min_quotient(c, 32.0, step=step)
     return StabilityReport(
         c=float(c),

@@ -94,6 +94,36 @@ def series_critical_c0(lo=0.3, hi=1.0, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def scalar_rk4(y, yp, h, p, q):
+    """Reference RK4 for y'' = p y' + q y, one scalar stage loop per step.
+
+    p and q are sequences of the coefficients at the half-step nodes
+    x0, x0 + h/2, x0 + h, ... (2n+1 of them for n steps).  Independent of
+    the package kernel, which builds and applies step matrices; returns
+    lists of y and y' at the n+1 step nodes.
+    """
+    ys = [y]
+    yps = [yp]
+    for k in range(0, len(p) - 2, 2):
+        p0, pm, p1 = p[k : k + 3]
+        q0, qm, q1 = q[k : k + 3]
+        l1 = p0 * yp + q0 * y
+        y2 = y + 0.5 * h * yp
+        p2 = yp + 0.5 * h * l1
+        l2 = pm * p2 + qm * y2
+        y3 = y + 0.5 * h * p2
+        p3 = yp + 0.5 * h * l2
+        l3 = pm * p3 + qm * y3
+        y4 = y + h * p3
+        p4 = yp + h * l3
+        l4 = p1 * p4 + q1 * y4
+        y = y + h / 6.0 * (yp + 2.0 * (p2 + p3) + p4)
+        yp = yp + h / 6.0 * (l1 + 2.0 * (l2 + l3) + l4)
+        ys.append(y)
+        yps.append(yp)
+    return ys, yps
+
+
 @pytest.fixture(scope="session")
 def sol01():
     return symmetric_solution(0.1)

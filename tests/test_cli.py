@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +33,13 @@ class TestSingleCommands:
         assert rc == 0
         payload = read_json(tmp_path / "stability_c0.2.json")
         assert payload["stable"] is True
+
+    def test_stability_flat_cone_with_steklov(self, tmp_path):
+        rc = main(["stability", "--c", "0", "--step", "1e-3", "--steklov", "--out", str(tmp_path)])
+        assert rc == 0
+        text = (tmp_path / "stability_c0.json").read_text()
+        assert '"steklov_lambda": null' in text
+        assert abs(json.loads(text)["margin"] - 0.26967630174) < 1e-10
 
     def test_stability_where_phi0_rounds_to_pi(self, tmp_path):
         rc = main(["stability", "--c", "20", "--out", str(tmp_path)])
@@ -92,6 +101,15 @@ class TestSingleCommands:
 
 
 class TestExitCodes:
+    def test_module_entry_point(self, tmp_path):
+        # python -m conefbp runs the CLI and exits with its code
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for k, rc, text in (("3", 0, "0.3535533906"), ("1", 2, "invalid arguments")):
+            cmd = [sys.executable, "-m", "conefbp", "morgan", "--k", k, "--out", str(tmp_path)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == rc, proc.stderr
+            assert text in proc.stdout + proc.stderr
+
     def test_unknown_subcommand(self, tmp_path):
         assert main(["nonsense"]) == 2
 

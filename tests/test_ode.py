@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conefbp import ode
 from conefbp.errors import (
+    ConvergenceFailureError,
     InvalidParameterError,
     NoZeroError,
     PoleCollisionError,
@@ -19,7 +21,7 @@ from conefbp.ode import (
     symmetric_solution,
 )
 
-from conftest import legendre_series, series_zero
+from conftest import legendre_series, scalar_rk4, series_zero
 
 # series-oracle anchors (bisection of the power series, independent of RK4)
 PHI0_HALF = 1.7236976651367066
@@ -65,6 +67,22 @@ class TestIntegrateProfile:
         assert np.max(np.abs(coarse.values - fine.values[idx])) <= 1e-9
         assert np.max(np.abs(coarse.derivs - fine.derivs[idx])) <= 1e-9
 
+    def test_halving_guard_fires(self, monkeypatch):
+        rk4_angular = ode._rk4_angular
+
+        def perturbed(lam, step, phi_max):
+            grid, f, fp = rk4_angular(lam, step, phi_max)
+            # only the h/2 run moves, by ten times the halving tolerance
+            return grid, f + (1e-8 if step < DEFAULT_STEP else 0.0), fp
+
+        monkeypatch.setattr(ode, "_rk4_angular", perturbed)
+        with pytest.raises(ConvergenceFailureError) as info:
+            integrate_profile(1.0, 0.3, 2.2)
+        log = dict(info.value.log)
+        assert set(log) == {"sup_df", "sup_dfp"}
+        assert abs(log["sup_df"] - 1e-8) <= 1e-9
+        assert log["sup_dfp"] <= 1e-9
+
     def test_continuity_in_slope(self):
         for beta in (1.0, -0.5):
             for c in (0.0, 1.0, 7.0):
@@ -103,6 +121,41 @@ class TestIntegrateProfile:
                 integrate_profile(1.0, 0.0, phi_max, step=1e-3)
         with pytest.raises(InvalidParameterError):
             integrate_profile(1.0, -1.0, 2.0, step=1e-3)
+
+
+def _close_to(ref, got, rel=1e-12):
+    ref = np.asarray(ref)
+    return np.max(np.abs(np.asarray(got) - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestRk4Kernel:
+    """The step-matrix kernel against the scalar stage loop in conftest."""
+
+    @pytest.mark.parametrize("beta", [1.0, -0.5])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 7.0])
+    @pytest.mark.parametrize("step", [1e-3, 2.0**-13])
+    # one run inside a single block, one that ends part-way through a block
+    @pytest.mark.parametrize("n", [500, ode._BLOCK + 137])
+    def test_angular_chart(self, beta, c, step, n):
+        lam = beta * (beta + 1.0) / (1.0 + c * c)
+        phi_eps = 10.0 * step
+        grid, f, fp = ode._rk4_angular(lam, step, (10 + n) * step)
+        assert len(grid) == n + 1 and grid[-1] < 2.2
+        p = [-1.0 / math.tan((10.0 + 0.5 * k) * step) for k in range(2 * n + 1)]
+        y0 = 1.0 - 0.25 * lam * phi_eps * phi_eps
+        ys, yps = scalar_rk4(y0, -0.5 * lam * phi_eps, step, p, [-lam] * len(p))
+        assert _close_to(ys, f) and _close_to(yps, fp)
+
+    def test_tail_piece(self):
+        lam = 1.0
+        h = 40.0 * DEFAULT_STEP
+        n = ode._BLOCK + 137
+        tau = [0.5 + 0.5 * h * k for k in range(2 * n + 1)]
+        q = [-lam / math.cosh(t) ** 2 for t in tau]
+        ys, yps = scalar_rk4(-0.6, -0.4, h, [0.0] * len(q), q)
+        u, up = ode._rk4(-0.6, -0.4, h, 0.0, np.array(q))
+        assert len(u) == n + 1
+        assert _close_to(ys, u) and _close_to(yps, up)
 
 
 class TestFirstZero:

@@ -79,6 +79,13 @@ class TestStabilityMargin:
         d = rep.to_dict()
         assert set(d) >= {"c", "phi0", "H1", "margin", "stable", "ratio", "steklov_lambda"}
 
+    def test_optional_quotient_left_out_on_the_flat_cone(self):
+        # the quotient needs curvature, which c = 0 lacks; the margin does not
+        rep = stability_margin(0.0, with_steklov=True)
+        assert rep.steklov_lambda is None
+        assert abs(rep.margin - 0.26967630174) < 1e-10
+        assert rep.to_dict()["steklov_lambda"] is None
+
 
 class TestCriticalSlope:
     def test_bisection_anchor(self):
