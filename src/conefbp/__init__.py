@@ -15,18 +15,13 @@ from .errors import (
     InvalidTestFunctionError,
     NoZeroError,
     PoleCollisionError,
-    PoleDegeneracyError,
     PropertyViolationError,
-    VertexSingularityError,
 )
 from .geometry import (
     CapGeometry,
-    ConeParam,
     cap_geometry,
     homogeneity_exponent,
     is_minimizing,
-    metric_cartesian,
-    metric_spherical,
     morgan_threshold,
 )
 from .ode import (
@@ -35,30 +30,21 @@ from .ode import (
     beta_half_profile,
     first_zero,
     integrate_profile,
-    log_derivative_ordering,
     symmetric_solution,
 )
 from .stability import (
-    ConnectivityReport,
     SmoothBump,
     StabilityReport,
-    connectivity_bound_check,
     find_critical_c0,
     radial_instability_witness,
-    second_variation_deficit,
     stability_margin,
     steklov_min_quotient,
-    steklov_trial_quotient,
 )
 from .grid import (
     AxisymField,
-    apply_laplace_beltrami,
     dirichlet_solve,
     field_from_solution,
-    field_to_csv,
-    gradient_c,
     gradient_sq_field,
-    load_field_text,
     make_field,
     save_field_text,
 )

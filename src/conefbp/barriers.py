@@ -39,6 +39,7 @@ __all__ = [
     "derivative_decomposition",
     "decomposition_terms",
     "admissible_parameter_search",
+    "audit_pair",
     "supersolution_lift_check",
     "hessian_gradient_inequality",
     "subharmonicity_margin",

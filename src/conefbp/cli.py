@@ -266,6 +266,9 @@ def _cmd_sweep(args, out):
     sub = args.subcommand
     if sub not in _SWEEP_COLUMNS:
         raise InvalidParameterError(f"sweep does not support subcommand {sub!r}")
+    swept = "k" if sub == "morgan" else "c"
+    if name != swept:
+        raise InvalidParameterError(f"sweep {sub} runs over {swept}, not {name!r}")
     # a bad shared grid or a non-integer k would fail or be truncated: reject it up front
     if sub == "minimize":
         make_field(*args.grid, 0.0)
@@ -384,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, flags, defaults) in _COMMANDS.items():
         p = subparsers.add_parser(name, help=help_text)
         if name == "sweep":
-            p.add_argument("spec", help="grid spec name=start:stop:count")
+            p.add_argument("spec", help="grid spec c=start:stop:count (k=... for morgan)")
             p.add_argument("subcommand", help="one of: " + ", ".join(sorted(_SWEEP_COLUMNS)))
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])

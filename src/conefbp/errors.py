@@ -5,14 +5,6 @@ class InvalidParameterError(ValueError):
     """Input outside the documented domain of an operation."""
 
 
-class PoleDegeneracyError(InvalidParameterError):
-    """Spherical chart evaluated on the polar axis where it degenerates."""
-
-
-class VertexSingularityError(InvalidParameterError):
-    """Cartesian chart evaluated at the cone vertex."""
-
-
 class PoleCollisionError(InvalidParameterError):
     """Angular range touches the pole at phi = pi."""
 

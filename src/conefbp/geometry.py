@@ -1,13 +1,9 @@
 """Exact geometry of the cone x4 = c|x| in R^4 and of spherical caps.
 
-The cone inherits its metric from the ambient space.  In spherical
-coordinates (r, theta, phi) the inverse metric is diagonal with area
-form r^2 sin(phi) sqrt(1+c^2); in the projected Cartesian chart
-(x1, x2, x3) it is a full symmetric positive definite matrix.  This
-module also provides spherical cap areas and curvatures with their
-Gauss-Bonnet audit, the homogeneity exponent of separated harmonics,
-and the classical threshold for a plane through the vertex of a
-k-dimensional cone to be area minimizing.
+This module provides spherical cap areas and curvatures with their
+Gauss-Bonnet audit, the homogeneity exponent of separated harmonics of
+the cone, and the classical threshold for a plane through the vertex
+of a k-dimensional cone to be area minimizing.
 """
 
 from __future__ import annotations
@@ -15,21 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    InvalidParameterError,
-    PoleDegeneracyError,
-    VertexSingularityError,
-)
+from .errors import InvalidParameterError
 from .quadrature import adaptive_simpson
 
 __all__ = [
-    "ConeParam",
     "CapGeometry",
     "homogeneity_exponent",
-    "metric_spherical",
-    "metric_cartesian",
     "cap_geometry",
     "morgan_threshold",
     "is_minimizing",
@@ -50,61 +37,6 @@ def homogeneity_exponent(c) -> float:
     """
     c = _check_slope(c)
     return 0.5 * (-1.0 + math.sqrt(1.0 + 8.0 / (1.0 + c * c)))
-
-
-@dataclass(frozen=True)
-class ConeParam:
-    """Cone opening constant together with its derived scalars."""
-
-    c: float
-    one_plus_c2: float
-    delta: float
-    alpha: float
-
-    @classmethod
-    def from_slope(cls, c) -> "ConeParam":
-        c = _check_slope(c)
-        one = 1.0 + c * c
-        return cls(c=c, one_plus_c2=one, delta=1.0 / math.sqrt(one), alpha=homogeneity_exponent(c))
-
-
-def metric_spherical(param: ConeParam, r: float, phi: float):
-    """Inverse metric diagonal (g^rr, g^tt, g^pp) and area form at (r, phi).
-
-    The theta entry degenerates on the polar axis, so phi must stay in
-    the open interval (0, pi).
-    """
-    r = float(r)
-    phi = float(phi)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise InvalidParameterError(f"radius must be positive, got {r!r}")
-    if not 0.0 < phi < math.pi:
-        raise PoleDegeneracyError(f"polar angle must lie in (0, pi), got {phi!r}")
-    s = math.sin(phi)
-    if s == 0.0:
-        raise PoleDegeneracyError("polar angle at a pole: theta metric entry undefined")
-    g_rr = 1.0 / param.one_plus_c2
-    g_tt = 1.0 / (r * r * s * s)
-    g_pp = 1.0 / (r * r)
-    area_form = r * r * s * math.sqrt(param.one_plus_c2)
-    return (g_rr, g_tt, g_pp), area_form
-
-
-def metric_cartesian(param: ConeParam, x) -> np.ndarray:
-    """Inverse metric matrix in the projected chart at x in R^3 minus 0.
-
-    Equals I - c^2/((1+c^2) r^2) x x^T: eigenvalues are 1 (twice,
-    tangential) and 1/(1+c^2) (radial), so the matrix is symmetric
-    positive definite away from the vertex.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise InvalidParameterError(f"expected a point in R^3, got shape {x.shape}")
-    r2 = float(x @ x)
-    if r2 == 0.0:
-        raise VertexSingularityError("inverse metric undefined at the cone vertex")
-    c2 = param.c * param.c
-    return np.eye(3) - (c2 / (param.one_plus_c2 * r2)) * np.outer(x, x)
 
 
 @dataclass(frozen=True)

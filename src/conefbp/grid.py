@@ -2,13 +2,12 @@
 
 Fields live on a tensor grid (r, phi) in [r_min, 1] x [0, pi] with the
 vertex excluded (quantities of interest grow linearly in r, so values
-extrapolate linearly to r = 0).  The module provides the axisymmetric
-cone Laplacian in non-conservative node form for residual audits, a
-symmetric conservative edge form, Dirichlet solves of that form by
-conjugate gradients preconditioned with its exact full-grid inverse
-(fast diagonalization of the tensor-product form; optional cut-cell
-weights for plane boundaries that do not align with the grid), metric
-gradient magnitudes, and plain-text serialization.
+extrapolate linearly to r = 0).  The module provides a symmetric
+conservative edge form of the axisymmetric cone Laplacian, Dirichlet
+solves of that form by conjugate gradients preconditioned with its
+exact full-grid inverse (fast diagonalization of the tensor-product
+form; optional cut-cell weights for plane boundaries that do not align
+with the grid), metric gradient magnitudes, and plain-text snapshots.
 """
 
 from __future__ import annotations
@@ -32,13 +31,9 @@ __all__ = [
     "AxisymField",
     "make_field",
     "field_from_solution",
-    "apply_laplace_beltrami",
     "dirichlet_solve",
-    "gradient_c",
     "gradient_sq_field",
     "save_field_text",
-    "load_field_text",
-    "field_to_csv",
 ]
 
 
@@ -131,58 +126,6 @@ def _d_dr(values, r):
     cc = h0 / (h1 * (h0 + h1))
     out[-1] = a * values[-1] + b * values[-2] + cc * values[-3]
     return out
-
-
-def _d2_dr(values, r):
-    out = np.empty_like(values)
-    dr0 = r[1:-1] - r[:-2]
-    dr1 = r[2:] - r[1:-1]
-    w0 = 2.0 / (dr0 * (dr0 + dr1))
-    w2 = 2.0 / (dr1 * (dr0 + dr1))
-    w1 = -(w0 + w2)
-    out[1:-1] = w0[:, None] * values[:-2] + w1[:, None] * values[1:-1] + w2[:, None] * values[2:]
-    # four-point one-sided second derivative, second order on uniform grids
-    out[0] = _onesided_d2(values, r, 0, 1)
-    out[-1] = _onesided_d2(values, r, len(r) - 1, -1)
-    return out
-
-
-def _onesided_d2(values, x, i0, direction):
-    idx = [i0, i0 + direction, i0 + 2 * direction, i0 + 3 * direction]
-    xs = x[idx] - x[i0]
-    v = np.vander(xs, 4, increasing=True).T
-    rhs = np.zeros(4)
-    rhs[2] = 2.0
-    w = np.linalg.solve(v, rhs)
-    return sum(w[k] * values[idx[k]] for k in range(4))
-
-
-def apply_laplace_beltrami(field: AxisymField) -> np.ndarray:
-    """Node residual of the axisymmetric cone Laplacian.
-
-    Returns (1/(1+c^2))(u_rr + 2 u_r / r) + (1/r^2)(cot(phi) u_phi + u_phiphi)
-    by second-order differences; at the polar columns the angular part
-    degenerates to twice the reflected second difference.
-    """
-    u = field.values
-    r = field.r
-    phi = field.phi
-    if r[0] <= 0.0:
-        raise InvalidParameterError("grid touches the vertex; radial stencil undefined")
-    one = 1.0 + field.c * field.c
-    ur = _d_dr(u, r)
-    urr = _d2_dr(u, r)
-    radial = (urr + 2.0 * ur / r[:, None]) / one
-    h = phi[1] - phi[0]
-    ang = np.empty_like(u)
-    up = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
-    upp = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (h * h)
-    cot = np.cos(phi[1:-1]) / np.sin(phi[1:-1])
-    ang[:, 1:-1] = cot[None, :] * up + upp
-    # reflected ghost at the poles: u_phi = 0, cot u_phi + u_phiphi -> 2 u_phiphi
-    ang[:, 0] = 4.0 * (u[:, 1] - u[:, 0]) / (h * h)
-    ang[:, -1] = 4.0 * (u[:, -2] - u[:, -1]) / (h * h)
-    return radial + ang / (r[:, None] ** 2)
 
 
 def dirichlet_edge_weights(field: AxisymField):
@@ -357,31 +300,16 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
     return field.with_values(x)
 
 
-def _gradient_sq(u, r, phi, c):
-    ur = _d_dr(u, r)
-    up = _d_dr(u.T, phi).T
-    return ur**2 / (1.0 + c * c) + up**2 / r[:, None] ** 2
-
-
 def gradient_sq_field(field: AxisymField) -> np.ndarray:
     """Metric gradient magnitude squared at every node.
 
     Second-order differences, one-sided at the grid edges:
     |grad_c u|^2 = u_r^2/(1+c^2) + u_phi^2/r^2.
     """
-    return _gradient_sq(field.values, field.r, field.phi, field.c)
-
-
-def gradient_c(field: AxisymField, i: int, j: int) -> float:
-    """Metric gradient magnitude squared at node (i, j), equal to gradient_sq_field there."""
-    nr, nphi = field.shape
-    if not (0 <= i < nr and 0 <= j < nphi):
-        raise InvalidParameterError(f"node ({i}, {j}) lies outside the {nr}x{nphi} grid")
-    # the 3x3 block holding both stencils of the node (one-sided at the edges)
-    a = min(max(i - 1, 0), nr - 3)
-    b = min(max(j - 1, 0), nphi - 3)
-    block = field.values[a : a + 3, b : b + 3]
-    return float(_gradient_sq(block, field.r[a : a + 3], field.phi[b : b + 3], field.c)[i - a, j - b])
+    u = field.values
+    ur = _d_dr(u, field.r)
+    up = _d_dr(u.T, field.phi).T
+    return ur**2 / (1.0 + field.c * field.c) + up**2 / field.r[:, None] ** 2
 
 
 def save_field_text(field: AxisymField, path) -> None:
@@ -395,35 +323,3 @@ def save_field_text(field: AxisymField, path) -> None:
         lines.append(" ".join("%.17g" % v for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_field_text(path) -> AxisymField:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    header = {}
-    rows = []
-    try:
-        for ln in lines:
-            if "=" in ln:
-                key, _, val = ln.partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                rows.append([float(tok) for tok in ln.split()])
-        nr = int(header["Nr"])
-        nphi = int(header["Nphi"])
-        r_min = float(header["r_min"])
-        c = float(header["c"])
-        values = np.asarray(rows, dtype=float)
-    except (KeyError, ValueError) as exc:
-        raise GridMismatchError(f"snapshot needs numeric Nr, Nphi, r_min, c and rows: {exc!r}") from exc
-    if values.shape != (nr, nphi):
-        raise GridMismatchError("snapshot body does not match its header")
-    return make_field(nr, nphi, c, r_min=r_min, values=values)
-
-
-def field_to_csv(field: AxisymField, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("r,phi,value\n")
-        for i, rv in enumerate(field.r):
-            for j, pv in enumerate(field.phi):
-                fh.write("%.17g,%.17g,%.17g\n" % (rv, pv, field.values[i, j]))

@@ -45,17 +45,16 @@ __all__ = [
     "PHI_CAP",
     "RadialProfile",
     "SymmetricSolution",
-    "OrderingReport",
     "integrate_profile",
     "first_zero",
     "symmetric_solution",
     "beta_half_profile",
-    "log_derivative_ordering",
     "pole_series",
 ]
 
 # Power of two, so grid nodes (10+i)*step are exact doubles and the
-# centered-difference residual audit sees an exactly uniform grid.
+# centered-difference residual audit (test_residual_budget in
+# tests/test_ode.py) sees an exactly uniform grid.
 DEFAULT_STEP = 2.0**-13
 # Default far end of the angular grid.  Beyond this angle profiles with a
 # logarithmic branch at phi = pi lose the 1e-8 residual budget of the
@@ -67,7 +66,6 @@ _HALVING_TOL = 1e-9
 # Steps per block of RK4 step matrices: bounds the numpy temporaries of
 # long runs (the halving check at the default step takes ~36k steps).
 _BLOCK = 2048
-_ORDERING_TOL = 1e-8
 
 
 def pole_series(lam: float, phi, f0: float = 1.0, order: int = 6):
@@ -317,26 +315,6 @@ class RadialProfile:
             return self.sample(phi)[0]
         return float(self.value_and_deriv(float(phi))[0])
 
-    # -- audits ---------------------------------------------------------
-
-    def residual(self) -> np.ndarray:
-        """Centered-difference residual of the equation at interior nodes.
-
-        The second derivative is the centered difference of the dense
-        first-derivative output and the first derivative the centered
-        difference of the values, which checks the two output columns
-        against the equation and against each other while staying above
-        the double-precision noise floor of plain second differences.
-        """
-        f = self.values
-        fp = self.derivs
-        g = self.grid
-        h = self.step
-        d2 = (fp[2:] - fp[:-2]) / (2.0 * h)
-        d1 = (f[2:] - f[:-2]) / (2.0 * h)
-        cot = np.cos(g[1:-1]) / np.sin(g[1:-1])
-        return d2 + cot * d1 + self.lam * f[1:-1]
-
     def scaled(self, factor: float) -> "RadialProfile":
         out = RadialProfile(
             self.beta,
@@ -368,29 +346,6 @@ class RadialProfile:
             lines.append("%.17g,%.17g,%.17g" % (p, v, d))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "RadialProfile":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = {}
-        rows = []
-        for ln in lines:
-            if "=" in ln and "," not in ln:
-                key, _, val = ln.partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                rows.append([float(tok) for tok in ln.split(",")])
-        data = np.asarray(rows, dtype=float)
-        return cls(
-            beta=float(header["beta"]),
-            c=float(header["c"]),
-            grid=data[:, 0],
-            values=data[:, 1],
-            derivs=data[:, 2],
-            f0=float(header["f0"]),
-            step=float(header["step"]),
-            normalized=bool(int(header.get("normalized", "0"))),
-        )
-
 
 def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> RadialProfile:
     """Integrate the separated equation on [10*step, phi_max].
@@ -407,6 +362,9 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
         raise InvalidParameterError(f"homogeneity exponent must lie in [-1, 2], got {beta}")
     if not (math.isfinite(c) and c >= 0.0):
         raise InvalidParameterError(f"cone slope must be finite and >= 0, got {c}")
+    if not math.isfinite(1.0 + c * c):
+        # c * c overflows and would make lam = 0
+        raise InvalidParameterError(f"cone slope squared overflows, got {c}")
     if not math.isfinite(phi_max):
         raise InvalidParameterError(f"phi_max must be finite, got {phi_max}")
     if phi_max >= math.pi:
@@ -572,52 +530,3 @@ def beta_half_profile(c, step=DEFAULT_STEP) -> RadialProfile:
     if np.any(prof._tail_u[keep] <= 0.0) or np.any(prof._tail_up[keep] < -1e-12):
         raise PropertyViolationError("comparison profile lost positivity or monotonicity near the far pole")
     return prof
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    """Pointwise comparison of two comparison-profile log derivatives."""
-
-    c1: float
-    c2: float
-    n_points: int
-    min_ratio_gap: float
-    min_value_gap: float
-    ordering_holds: bool
-    values_ordered: bool
-
-
-def log_derivative_ordering(c1, c2, step=DEFAULT_STEP) -> OrderingReport:
-    """Check g'_{c1}/g_{c1} >= g'_{c2}/g_{c2} pointwise for c1 < c2, to 1e-8.
-
-    Both profiles are normalized to 1 at the pole, compared on their
-    common angular grid and on a shared stretched-variable audit range.
-    """
-    c1 = float(c1)
-    c2 = float(c2)
-    if not 0.0 <= c1 <= c2:
-        raise InvalidParameterError("ordering check requires 0 <= c1 <= c2")
-    g1 = beta_half_profile(c1, step=step)
-    g2 = beta_half_profile(c2, step=step)
-    r1 = g1.derivs / g1.values
-    r2 = g2.derivs / g2.values
-    gap = r1 - r2
-    vgap = g1.values - g2.values
-    tau_hi = tau_of_phi(math.pi - 10.0 * step)
-    taus = np.linspace(tau_of_phi(g1.grid[-1]) + 0.05, tau_hi, 200)
-    for t in taus:
-        f1, fp1 = g1.value_and_deriv_at_tau(t)
-        f2, fp2 = g2.value_and_deriv_at_tau(t)
-        gap = np.append(gap, fp1 / f1 - fp2 / f2)
-        vgap = np.append(vgap, f1 - f2)
-    min_gap = float(np.min(gap))
-    min_vgap = float(np.min(vgap))
-    return OrderingReport(
-        c1=c1,
-        c2=c2,
-        n_points=int(gap.size),
-        min_ratio_gap=min_gap,
-        min_value_gap=min_vgap,
-        ordering_holds=bool(min_gap >= -_ORDERING_TOL),
-        values_ordered=bool(c1 == c2 or min_vgap >= -_ORDERING_TOL),
-    )

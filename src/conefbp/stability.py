@@ -11,9 +11,8 @@ over axisymmetric F vanishing on the spherical ends of an annulus.  On a
 log-r grid the discrete quotient separates into radial modes, so its
 exact minimum (one radial eigenvalue and one angular solve) cross-checks
 the closed form.  A radial test function exhibits the loss of stability
-for large slopes, the critical slope is bisected from the sign of the
-margin, and the connectivity bound from the radial second variation is
-audited.
+for large slopes, and the critical slope is bisected from the sign of
+the margin.
 """
 
 from __future__ import annotations
@@ -29,20 +28,17 @@ from .errors import (
     InvalidTestFunctionError,
     PropertyViolationError,
 )
-from .grid import _stiffness, edge_apply
+from .grid import _stiffness
 from .ode import beta_half_profile, symmetric_solution
 from .quadrature import simpson_uniform, trapezoid_weights
 
 __all__ = [
     "StabilityReport",
-    "ConnectivityReport",
     "SmoothBump",
     "stability_margin",
     "find_critical_c0",
     "radial_instability_witness",
-    "second_variation_deficit",
     "steklov_min_quotient",
-    "connectivity_bound_check",
 ]
 
 _SWEEP_STEP = 1e-3
@@ -217,46 +213,13 @@ def radial_instability_witness(c, F, step=_SWEEP_STEP):
     return float(lhs), float(rhs)
 
 
-def second_variation_deficit(c, F, annulus, num_r=801, num_phi=401, step=_SWEEP_STEP):
-    """Dirichlet integral minus boundary term for an axisymmetric test F.
-
-    F is a callable of (r, phi) supported inside the annulus; partial
-    derivatives are taken by central differences with steps 1e-6 (R2 - R1)
-    and 1e-6 pi.  A nonnegative deficit for every admissible F is the
-    discrete footprint of stability.
-    """
-    r1, r2 = float(annulus[0]), float(annulus[1])
-    if not 0.0 < r1 < r2:
-        raise InvalidParameterError("annulus must satisfy 0 < R1 < R2")
-    sol = symmetric_solution(c, step=step)
-    rs = np.linspace(r1, r2, num_r if num_r % 2 == 1 else num_r + 1)
-    phis = np.linspace(0.0, sol.phi0, num_phi if num_phi % 2 == 1 else num_phi + 1)
-    R, P = np.meshgrid(rs, phis, indexing="ij")
-    vals = np.asarray(F(R, P), dtype=float)
-    edge = max(np.abs(vals[0]).max(), np.abs(vals[-1]).max())
-    if edge > 1e-10 * (1.0 + np.abs(vals).max()):
-        raise InvalidTestFunctionError("test function must vanish at the annulus ends")
-    hr = 1e-6 * (r2 - r1)
-    hp = 1e-6 * math.pi
-    Fr = (np.asarray(F(R + hr, P), dtype=float) - np.asarray(F(R - hr, P), dtype=float)) / (2 * hr)
-    Fp = (np.asarray(F(R, P + hp), dtype=float) - np.asarray(F(R, P - hp), dtype=float)) / (2 * hp)
-    bulk = (Fr**2 / (1.0 + sol.c**2) + Fp**2 / R**2) * R**2 * np.sin(P) * 2.0 * math.pi
-    dr = rs[1] - rs[0]
-    dp = phis[1] - phis[0]
-    rows = np.array([simpson_uniform(bulk[i], dp) for i in range(bulk.shape[0])])
-    dirichlet = simpson_uniform(rows, dr)
-    fb = np.asarray(F(rs, np.full_like(rs, sol.phi0)), dtype=float)
-    boundary = simpson_uniform((sol.H1 / rs) * fb**2 * rs * sol.sin_phi0 * 2.0 * math.pi, dr)
-    return float(dirichlet - boundary)
-
-
 def _annulus(c, R, num_r, num_phi, step):
     """Log-r annulus grid on (1/R, R) x [0, phi0] and its separable edge weights.
 
     The discrete form int [F_rho^2/(1+c^2) + F_phi^2] e^rho sin(phi) has
     radial edge weights a_i d_j and angular edge weights m_i b_j; the
     free-boundary mass is |t0| m_i on the last phi column.  Returns
-    (rho, phi, (a, d, m, b), |t0|).
+    ((a, d, m, b), |t0|).
     """
     c = float(c)
     R = float(R)
@@ -274,7 +237,7 @@ def _annulus(c, R, num_r, num_phi, step):
     d = np.sin(phi) * trapezoid_weights(phi) / (1.0 + c * c)
     m = np.exp(rho) * trapezoid_weights(rho)
     b = np.sin(0.5 * (phi[1:] + phi[:-1])) / (phi[1] - phi[0])
-    return rho, phi, (a, d, m, b), abs(sol.t0)
+    return (a, d, m, b), abs(sol.t0)
 
 
 def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> float:
@@ -299,7 +262,7 @@ def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> floa
     ``stability_margin`` (mu = 1/4); the gap to that ratio decays like
     1/log^2 R.
     """
-    _, _, (a, d, m, b), t0_abs = _annulus(c, R, num_r, num_phi, step)
+    (a, d, m, b), t0_abs = _annulus(c, R, num_r, num_phi, step)
     scale = 1.0 / np.sqrt(m[1:-1])
     k = _stiffness(a)[1:-1, 1:-1]
     mu1 = np.linalg.eigvalsh(scale[:, None] * k * scale[None, :])[0]
@@ -307,71 +270,3 @@ def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> floa
     e_last[-1] = 1.0
     h = np.linalg.solve(mu1 * np.diag(d) + _stiffness(b), e_last)
     return float(1.0 / (t0_abs * h[-1]))
-
-
-def steklov_trial_quotient(
-    c, R, trial, num_r=257, num_phi=129, step=_SWEEP_STEP, clamp_ends=True
-) -> float:
-    """Rayleigh quotient of a supplied trial field on the discrete annulus.
-
-    trial is a callable of (rho, phi) with rho = log r; its values are
-    clamped to zero on the radial ends so the trial is admissible, hence
-    the result upper-bounds steklov_min_quotient on the same grid.  With
-    clamp_ends disabled the quotient of the free trial is returned; for
-    the separated power-law profile the radial fluxes cancel and the
-    quotient collapses to the closed form at any annulus.
-    """
-    rho, phi, (a, d, m, b), t0_abs = _annulus(c, R, num_r, num_phi, step)
-    rr, pp = np.meshgrid(rho, phi, indexing="ij")
-    x = np.asarray(trial(rr, pp), dtype=float)
-    if clamp_ends:
-        x[0, :] = 0.0
-        x[-1, :] = 0.0
-    num = float(np.sum(x * edge_apply(x, np.outer(a, d), np.outer(m, b))))
-    den = float(t0_abs * np.sum(m * x[:, -1] ** 2))
-    if den <= 0.0:
-        raise InvalidTestFunctionError("trial carries no mass on the free boundary row")
-    return num / den
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Audit of the total-turning bound from the radial second variation."""
-
-    c: float
-    phi0: float
-    total_turning: float
-    bound: float
-    holds: bool
-    chain_lhs: float
-    chain_rhs_single: float
-    chain_holds: bool
-    two_component_contradiction: bool
-
-
-def connectivity_bound_check(c, step=_SWEEP_STEP) -> ConnectivityReport:
-    """Check total turning <= areaU / (4 (1+c^2)) and the component count chain.
-
-    With two complement components the chain upper bound drops to zero
-    while the left side stays positive, which is the contradiction that
-    forces a single component.
-    """
-    sol = symmetric_solution(c, step=step)
-    kappa = sol.H1
-    total = kappa * 2.0 * math.pi * sol.sin_phi0
-    area_u = 2.0 * math.pi * (1.0 - sol.t0)
-    one = 1.0 + sol.c * sol.c
-    bound = area_u / (4.0 * one)
-    chain_lhs = (1.0 - 1.0 / (4.0 * one)) * area_u
-    chain_rhs_single = 4.0 * math.pi - 2.0 * math.pi
-    return ConnectivityReport(
-        c=float(c),
-        phi0=sol.phi0,
-        total_turning=total,
-        bound=bound,
-        holds=bool(total <= bound + 1e-12),
-        chain_lhs=chain_lhs,
-        chain_rhs_single=chain_rhs_single,
-        chain_holds=bool(0.0 < chain_lhs <= chain_rhs_single + 1e-12),
-        two_component_contradiction=bool(chain_lhs > 4.0 * math.pi - 4.0 * math.pi),
-    )

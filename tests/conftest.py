@@ -52,7 +52,7 @@ def annulus_steklov_quotient(c, R):
     series oracles in this file, never the package integrator.
     """
     one = 1.0 + c * c
-    phi0 = series_zero(2.0 / one, 1.0, 2.5)
+    phi0 = series_phi0(c)
     mu = 0.25 + math.pi**2 / (4.0 * math.log(R) ** 2)
     lam = -mu / one
     h = legendre_series(lam, phi0)
@@ -61,7 +61,12 @@ def annulus_steklov_quotient(c, R):
 
 
 def series_zero(lam, lo, hi, iters=100):
-    """Bisection zero of the series solution; oracle for first_zero."""
+    """Bisection zero of the series solution; oracle for first_zero.
+
+    Raises ValueError unless the series changes sign on [lo, hi].
+    """
+    if (legendre_series(lam, lo) > 0.0) == (legendre_series(lam, hi) > 0.0):
+        raise ValueError(f"series has the same sign at both ends of ({lo}, {hi})")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if legendre_series(lam, mid) > 0.0:
@@ -69,6 +74,15 @@ def series_zero(lam, lo, hi, iters=100):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def series_phi0(c):
+    """Series zero of the degree-one profile at slope c, for 0 <= c <= 2.8.
+
+    phi0 runs from pi/2 at c = 0 to 3.0 near c = 2.8; beyond that the
+    bracket (1, 3) holds no zero and series_zero refuses it.
+    """
+    return series_zero(2.0 / (1.0 + c * c), 1.0, 3.0)
 
 
 def series_critical_c0(lo=0.3, hi=1.0, tol=1e-12):
@@ -81,7 +95,7 @@ def series_critical_c0(lo=0.3, hi=1.0, tol=1e-12):
 
     def margin(c):
         one = 1.0 + c * c
-        phi0 = series_zero(2.0 / one, 1.0, 2.5)
+        phi0 = series_phi0(c)
         lam = -0.25 / one
         return legendre_series_deriv(lam, phi0) + legendre_series(lam, phi0) / math.tan(phi0)
 

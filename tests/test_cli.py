@@ -166,6 +166,14 @@ class TestExitCodes:
             ["sweep", "c=0:1:2", "minimize", "--grid", "4,3", "--jobs", "1"],
             # a non-integer plane dimension, which the point would truncate
             ["sweep", "k=2:3:4", "morgan", "--jobs", "1"],
+            # a parameter name the subcommand does not sweep
+            ["sweep", "x=0:1:3", "phi0", "--jobs", "1"],
+            ["sweep", "M=4:16:3", "stability", "--jobs", "1"],
+            ["sweep", "c=2:4:3", "morgan", "--jobs", "1"],
+            ["sweep", "k=0:1:2", "minimize", "--jobs", "1"],
+            # c * c overflows, which would make the profile equation lose lam
+            ["phi0", "--c", "1e155"],
+            ["stability", "--c", "1e155"],
         ],
     )
     def test_non_finite_value(self, tmp_path, argv):

@@ -1,0 +1,39 @@
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import pytest
+
+import conefbp
+
+# every submodule that declares an __all__ (importing __main__ would run the CLI)
+MODULES = [
+    m.name
+    for m in pkgutil.iter_modules(conefbp.__path__)
+    if m.name != "__main__" and hasattr(importlib.import_module(f"conefbp.{m.name}"), "__all__")
+]
+
+
+def _package_imports(name):
+    """Names conefbp/__init__.py imports from the submodule ``name``."""
+    tree = ast.parse(pathlib.Path(conefbp.__file__).read_text())
+    return [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == name
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_are_defined(name):
+    # so that ``from conefbp.<name> import *`` works
+    module = importlib.import_module(f"conefbp.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_package_imports_are_exported(name):
+    module = importlib.import_module(f"conefbp.{name}")
+    assert [n for n in _package_imports(name) if n not in module.__all__] == []

@@ -3,18 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conefbp.errors import (
-    InvalidParameterError,
-    PoleDegeneracyError,
-    VertexSingularityError,
-)
+from conefbp.errors import InvalidParameterError
 from conefbp.geometry import (
-    ConeParam,
     cap_geometry,
     homogeneity_exponent,
     is_minimizing,
-    metric_cartesian,
-    metric_spherical,
     morgan_threshold,
 )
 
@@ -56,99 +49,6 @@ class TestHomogeneityExponent:
     def test_invalid_slope(self, bad):
         with pytest.raises(InvalidParameterError):
             homogeneity_exponent(bad)
-
-
-class TestConeParam:
-    def test_derived_scalars(self):
-        p = ConeParam.from_slope(1.0)
-        assert p.one_plus_c2 == 2.0
-        assert abs(p.delta - 1.0 / math.sqrt(2.0)) < 1e-15
-        assert p.alpha == homogeneity_exponent(1.0)
-
-    def test_flat_delta_is_one(self):
-        assert ConeParam.from_slope(0.0).delta == 1.0
-
-
-class TestMetricSpherical:
-    def test_flat_unit_sphere_equator(self):
-        p = ConeParam.from_slope(0.0)
-        (grr, gtt, gpp), area = metric_spherical(p, 1.0, math.pi / 2.0)
-        assert (grr, gtt, gpp) == (1.0, 1.0, 1.0)
-        assert abs(area - 1.0) < 1e-15
-
-    def test_direct_substitution(self):
-        p = ConeParam.from_slope(1.0)
-        (grr, gtt, gpp), area = metric_spherical(p, 2.0, math.pi / 2.0)
-        assert abs(grr - 0.5) < 1e-15
-        assert abs(gtt - 0.25) < 1e-15
-        assert abs(gpp - 0.25) < 1e-15
-        assert abs(area - 4.0 * math.sqrt(2.0)) < 1e-14
-
-    def test_pole_degenerates(self):
-        p = ConeParam.from_slope(0.5)
-        with pytest.raises(PoleDegeneracyError):
-            metric_spherical(p, 1.0, 0.0)
-        with pytest.raises(PoleDegeneracyError):
-            metric_spherical(p, 1.0, math.pi)
-
-    def test_bad_radius(self):
-        with pytest.raises(InvalidParameterError):
-            metric_spherical(ConeParam.from_slope(0.5), 0.0, 1.0)
-
-
-class TestMetricCartesian:
-    def test_flat_identity(self):
-        p = ConeParam.from_slope(0.0)
-        assert np.allclose(metric_cartesian(p, [0.3, -1.0, 2.0]), np.eye(3))
-
-    def test_axis_point(self):
-        p = ConeParam.from_slope(1.0)
-        g = metric_cartesian(p, [1.0, 0.0, 0.0])
-        assert np.allclose(g, np.diag([0.5, 1.0, 1.0]))
-
-    def test_positive_definite_eigenvalues(self):
-        p = ConeParam.from_slope(0.7)
-        g = metric_cartesian(p, [1.0, 2.0, -1.0])
-        w = np.linalg.eigvalsh(g)
-        # radial eigenvalue 1/(1+c^2), tangential pair 1
-        assert np.allclose(sorted(w), [1.0 / 1.49, 1.0, 1.0])
-
-    def test_vertex_rejected(self):
-        with pytest.raises(VertexSingularityError):
-            metric_cartesian(ConeParam.from_slope(0.7), [0.0, 0.0, 0.0])
-
-
-def spherical_chart(r, theta, phi):
-    s = math.sin(phi)
-    return np.array([r * math.cos(theta) * s, r * math.sin(theta) * s, r * math.cos(phi)])
-
-
-def test_chart_consistency_of_gradients(rng):
-    # |grad_c F|^2 must agree between the spherical and Cartesian charts
-    def F(x):
-        return math.sin(x[0] + 0.5 * x[1]) + math.cos(x[2] - 0.3 * x[0]) + 0.3 * (x[0] * x[1] - x[2] ** 2)
-
-    h = 1e-6
-    for _ in range(100):
-        c = rng.uniform(0.0, 3.0)
-        r = rng.uniform(0.3, 2.0)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        phi = rng.uniform(0.3, math.pi - 0.3)
-        p = ConeParam.from_slope(c)
-        x = spherical_chart(r, theta, phi)
-        gx = np.array(
-            [
-                (F(x + h * e) - F(x - h * e)) / (2.0 * h)
-                for e in np.eye(3)
-            ]
-        )
-        cart = float(gx @ metric_cartesian(p, x) @ gx)
-        fr = (F(spherical_chart(r + h, theta, phi)) - F(spherical_chart(r - h, theta, phi))) / (2 * h)
-        ft = (F(spherical_chart(r, theta + h, phi)) - F(spherical_chart(r, theta - h, phi))) / (2 * h)
-        fp = (F(spherical_chart(r, theta, phi + h)) - F(spherical_chart(r, theta, phi - h))) / (2 * h)
-        (grr, gtt, gpp), _ = metric_spherical(p, r, phi)
-        sph = grr * fr * fr + gtt * ft * ft + gpp * fp * fp
-        assert abs(cart - sph) < 1e-8 * (1.0 + abs(cart))
 
 
 class TestCapGeometry:

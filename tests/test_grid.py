@@ -7,58 +7,14 @@ from conefbp import grid
 from conefbp.barriers import BarrierConfig, _cut_edges, audit_pair, supersolution_lift_check
 from conefbp.errors import ConvergenceFailureError, GridMismatchError, InvalidParameterError
 from conefbp.grid import (
-    apply_laplace_beltrami,
     dirichlet_edge_weights,
     dirichlet_solve,
     field_from_solution,
-    field_to_csv,
-    gradient_c,
     gradient_sq_field,
-    load_field_text,
     make_field,
     save_field_text,
 )
 from conefbp.minimize import MinimizeConfig, minimize
-
-
-class TestLaplaceBeltrami:
-    def test_flat_harmonic_residual(self):
-        f = make_field(64, 64, 0.0)
-        f.values = np.outer(f.r, np.cos(f.phi))
-        res = apply_laplace_beltrami(f)
-        h = f.phi[1] - f.phi[0]
-        # away from the vertex the residual is clean O(h^2); the 1/r^2
-        # weights amplify it near the puncture
-        away = f.r >= 0.2
-        assert np.abs(res[away]).max() <= 5.0 * h * h
-        assert np.abs(res).max() <= h * h / (2.0 * f.r_min)
-
-    def test_quadratic_exact_value(self):
-        f = make_field(48, 40, 0.7)
-        f.values = np.outer(f.r**2, np.ones_like(f.phi))
-        res = apply_laplace_beltrami(f)
-        assert np.abs(res - 6.0 / 1.49).max() <= 1e-10
-
-    def test_symmetric_solution_harmonic_inside(self, sol03):
-        f = field_from_solution(sol03, 96, 96)
-        res = apply_laplace_beltrami(f)
-        h = f.phi[1] - f.phi[0]
-        mask = np.zeros_like(f.values, dtype=bool)
-        mask[1:-1, 1:-1] = True
-        mask &= f.r[:, None] >= 0.2
-        mask &= f.phi[None, :] < sol03.phi0 - 3.0 * h
-        assert np.abs(res[mask]).max() <= 30.0 * h * h
-
-    def test_linearity(self, rng):
-        f = make_field(24, 24, 0.4)
-        u = rng.random(f.shape)
-        v = rng.random(f.shape)
-        a, b = 1.7, -0.6
-        fu, fv, fw = (f.with_values(x) for x in (u, v, a * u + b * v))
-        lin = a * apply_laplace_beltrami(fu) + b * apply_laplace_beltrami(fv)
-        direct = apply_laplace_beltrami(fw)
-        scale = np.abs(direct).max()
-        assert np.abs(lin - direct).max() <= 1e-12 * scale
 
 
 class TestDirichletSolve:
@@ -204,7 +160,7 @@ class TestGradient:
         h = f.phi[1] - f.phi[0]
         j = int(np.searchsorted(f.phi, sol03.phi0)) - 2  # inside, stencil clear of kink
         i = 96
-        val = gradient_c(f, i, j)
+        val = gradient_sq_field(f)[i, j]
         assert abs(val - 1.0) <= 8.0 * h
 
     def test_pole_value_from_profile(self, sol03):
@@ -213,24 +169,6 @@ class TestGradient:
         f0 = sol03.profile_value(1e-9)
         expected = f0 * f0 / 1.09
         assert abs(gsq[48, 0] - expected) <= 5e-3
-
-    def test_boundary_node_allowed(self):
-        f = make_field(16, 16, 0.0)
-        f.values = np.outer(f.r, np.ones_like(f.phi))
-        assert gradient_c(f, 0, 3) == gradient_sq_field(f)[0, 3]
-
-    def test_node_value_is_the_field_value(self, rng):
-        f = make_field(7, 6, 0.8, r_min=0.23, values=rng.random((7, 6)))
-        full = gradient_sq_field(f)
-        for i in range(7):
-            for j in range(6):
-                assert gradient_c(f, i, j) == full[i, j]
-
-    @pytest.mark.parametrize("i,j", [(-1, 3), (16, 3), (3, -1), (3, 16)])
-    def test_node_outside_grid_rejected(self, i, j):
-        f = make_field(16, 16, 0.0)
-        with pytest.raises(InvalidParameterError):
-            gradient_c(f, i, j)
 
 
 class TestFieldFromSolution:
@@ -251,18 +189,11 @@ class TestFieldValidation:
             make_field(8, 8, 0.0, values=-np.ones((8, 8)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_nonfinite_values_rejected(self, tmp_path, bad):
+    def test_nonfinite_values_rejected(self, bad):
         values = np.ones((8, 8))
         values[2, 5] = bad
         with pytest.raises(InvalidParameterError):
             make_field(8, 8, 0.0, values=values)
-        path = tmp_path / "field.txt"
-        save_field_text(make_field(8, 8, 0.0, values=np.ones((8, 8))), path)
-        lines = path.read_text().splitlines()
-        lines[4 + 2] = " ".join(["1"] * 5 + [repr(bad)] + ["1"] * 2)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvalidParameterError):
-            load_field_text(path)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -281,34 +212,6 @@ class TestSerialization:
         f = field_from_solution(sol03, 24, 24, r_min=0.0731)
         path = tmp_path / "field.txt"
         save_field_text(f, path)
-        g = load_field_text(path)
-        assert g.shape == f.shape
-        assert np.array_equal(g.values, f.values)
-        assert g.c == f.c
-        assert g.r_min == f.r_min
-        assert np.array_equal(g.r, f.r)
-
-    @pytest.mark.parametrize(
-        "lines",
-        [
-            ["Nphi=4", "r_min=0.25", "c=0"] + ["0 0 0 0"] * 4,
-            ["Nr=four", "Nphi=4", "r_min=0.25", "c=0"] + ["0 0 0 0"] * 4,
-            ["Nr=4", "Nphi=4", "r_min=", "c=0"] + ["0 0 0 0"] * 4,
-            ["Nr=4", "Nphi=4", "r_min=0.25"] + ["0 0 0 0"] * 4,
-            ["Nr=4", "Nphi=4", "r_min=0.25", "c=0"] + ["0 0 x 0"] + ["0 0 0 0"] * 3,
-            ["Nr=4", "Nphi=4", "r_min=0.25", "c=0"] + ["0 0 0"] + ["0 0 0 0"] * 3,
-        ],
-    )
-    def test_bad_snapshot_rejected(self, tmp_path, lines):
-        path = tmp_path / "field.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(GridMismatchError):
-            load_field_text(path)
-
-    def test_csv_export(self, tmp_path, sol03):
-        f = field_from_solution(sol03, 8, 8)
-        path = tmp_path / "field.csv"
-        field_to_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "r,phi,value"
-        assert len(lines) == 1 + 64
+        header = path.read_text().splitlines()[:4]
+        assert header == ["Nr=24", "Nphi=24", "r_min=0.073099999999999998", "c=0.29999999999999999"]
+        assert np.array_equal(np.loadtxt(path, skiprows=4), f.values)
