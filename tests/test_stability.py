@@ -169,6 +169,32 @@ class TestRadialWitness:
             radial_instability_witness(0.3, lambda r: bump(r))
 
 
+class TestSecondVariationDeficit:
+    # the radial second variation is rhs - lhs of the radial witness: the
+    # metric Dirichlet integral minus the free-boundary surface integral
+
+    def test_flat_cone_nonnegative(self):
+        lhs, rhs = radial_instability_witness(0.0, SmoothBump(0.3, 0.8))
+        assert rhs - lhs >= -1e-12
+
+    def test_small_slope_random_tests(self, rng):
+        for _ in range(12):
+            a = rng.uniform(0.05, 0.8)
+            b = rng.uniform(a + 0.1, 0.95)
+            lhs, rhs = radial_instability_witness(0.05, SmoothBump(a, b))
+            assert rhs - lhs >= -1e-8
+
+    def test_large_slope_radial_witness_is_negative(self):
+        lhs, rhs = radial_instability_witness(8.0, SmoothBump(0.3, 0.8))
+        assert rhs - lhs < 0.0
+
+    def test_support_checked(self):
+        # a bump reaching either end of the radial interval is rejected
+        for a, b in ((0.0, 0.5), (0.5, 1.0)):
+            with pytest.raises(InvalidTestFunctionError):
+                radial_instability_witness(0.1, SmoothBump(a, b))
+
+
 class TestSteklov:
     def test_matches_closed_form_structure(self):
         # small grids for speed: the minimum sits above the closed form
@@ -210,9 +236,10 @@ class TestSteklov:
             steklov_min_quotient(c, R, num_r=grid[0], num_phi=grid[1])
 
     @staticmethod
-    def _dense_min_quotient(c, R, num_r, num_phi):
-        # the discrete form assembled edge by edge, minimized by a dense
-        # generalized eigensolve on the free nodes
+    def _dense_forms(c, R, num_r, num_phi):
+        # the discrete form assembled edge by edge on the free nodes:
+        # returns (A, B, rho, phi) with the Dirichlet and boundary-mass
+        # matrices restricted to the interior radii
         from conefbp.ode import symmetric_solution
 
         sol = symmetric_solution(c, step=1e-3)
@@ -244,9 +271,25 @@ class TestSteklov:
                     edge(p, p + 1, math.exp(rho[i]) * rho_w[i] * s_mid / dphi)
             B[i * num_phi + num_phi - 1, i * num_phi + num_phi - 1] = abs(sol.t0) * math.exp(rho[i]) * rho_w[i]
         free = np.arange(num_phi, n - num_phi)
-        Af = A[np.ix_(free, free)]
-        Bf = B[np.ix_(free, free)]
+        return A[np.ix_(free, free)], B[np.ix_(free, free)], rho, phi
+
+    @classmethod
+    def _dense_min_quotient(cls, c, R, num_r, num_phi):
+        # minimized by a dense generalized eigensolve
+        Af, Bf, _, _ = cls._dense_forms(c, R, num_r, num_phi)
         return 1.0 / np.linalg.eigvals(np.linalg.solve(Af, Bf)).real.max()
+
+    def test_trial_function_upper_bounds_minimum(self):
+        # Rayleigh principle: the quotient of any trial vanishing at the
+        # ends is at least the minimum
+        lam = steklov_min_quotient(0.2, 8.0, num_r=17, num_phi=9)
+        Af, Bf, rho, phi = self._dense_forms(0.2, 8.0, 17, 9)
+        width = rho[-1] - rho[0]
+        ramp = np.minimum(1.0, 5.0 * np.minimum(rho - rho[0], rho[-1] - rho) / width)
+        x = np.outer(ramp, np.exp(0.2 * np.cos(phi)))[1:-1].ravel()
+        q = (x @ Af @ x) / (x @ Bf @ x)
+        assert q >= lam - 1e-9
+        assert q > lam * (1.0 + 1e-6)  # the ramp is not the minimizer
 
     def test_matches_dense_generalized_eigensolve(self):
         oracle = self._dense_min_quotient(0.2, 8.0, 9, 7)
