@@ -64,8 +64,6 @@ from .barriers import (
     admissible_parameter_search,
     audit_pair,
     decomposition_terms,
-    derivative_decomposition,
-    gradient_on_zero_set,
     hessian_gradient_inequality,
     laplacian_sign_audit,
     subharmonicity_margin,

@@ -10,10 +10,12 @@ I + II + III), and on the supersolution side a pasting angle phi2
 beyond the free boundary keeps the third term negative.  The pasted
 lift (harmonic in the ball above the plane x3 = cos(phi2), zero
 on the plane) must have metric gradient below one on the plane and
-radial flux above the outer barrier's on the sphere.  Every audit here
-is a pure decision over sampled grids with worst-node reporting; the
-existential constants of the comparison argument are replaced by a
-dyadic search that emits checkable certificates.
+radial flux above the outer barrier's on the sphere.  The
+superharmonicity sign is exact: its bracket peaks at the pole.  Every
+other audit here is a pure decision over sampled angles or grid nodes,
+taken as array expressions, with worst-value reporting; the existential
+constants of the comparison argument are replaced by a dyadic search
+that emits checkable certificates.
 """
 
 from __future__ import annotations
@@ -23,20 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoZeroError
+from .errors import InvalidParameterError
 from .grid import _d_dr, dirichlet_solve, make_field
 from .ode import symmetric_solution
 
 BETA = -0.5
 DYADIC_OFFSETS = tuple(float(2**k) for k in range(2, 11))
+_SUB_POINTS = 400  # angles of the subharmonicity margin
+_SUB_PAD = 0.08  # its distance from the pole and from phi0
 
 __all__ = [
     "BarrierConfig",
     "BarrierReport",
     "LiftReport",
     "laplacian_sign_audit",
-    "gradient_on_zero_set",
-    "derivative_decomposition",
     "decomposition_terms",
     "admissible_parameter_search",
     "audit_pair",
@@ -70,7 +72,6 @@ class BarrierReport:
 
     config: BarrierConfig
     laplacian_sign_ok: bool
-    laplacian_worst_phi: float
     laplacian_worst_value: float
     decomposition_margin: float | None = None
     phi2: float | None = None
@@ -95,20 +96,17 @@ class BarrierReport:
         }
 
 
-def laplacian_sign_audit(config: BarrierConfig, num: int = 10001):
-    """Sign of the separated-factor Laplacian bracket over [0, pi].
+def laplacian_sign_audit(config: BarrierConfig) -> float:
+    """Worst value over [0, pi] of the separated-factor Laplacian bracket.
 
-    The bracket is beta(beta+1)/(1+c^2) (M - cos phi) + 2 cos phi; the
-    factor r^(beta-2) is positive, so the barrier term is superharmonic
-    exactly when the bracket stays nonpositive.  Returns (ok, worst phi,
-    worst value).
+    The bracket is lam (M - cos phi) + 2 cos phi with lam =
+    beta(beta+1)/(1+c^2) = -1/(4(1+c^2)); the factor r^(beta-2) is
+    positive, so the barrier term is superharmonic exactly when the
+    bracket stays nonpositive.  As lam < 2 the bracket peaks at the pole
+    phi = 0, where it equals lam (M - 1) + 2.
     """
-    phi = np.linspace(0.0, math.pi, num)
     lam = BETA * (BETA + 1.0) / (1.0 + config.c**2)
-    bracket = lam * (config.M - np.cos(phi)) + 2.0 * np.cos(phi)
-    k = int(np.argmax(bracket))
-    worst = float(bracket[k])
-    return worst <= 0.0, float(phi[k]), worst
+    return lam * (config.M - 1.0) + 2.0
 
 
 def decomposition_terms(f, fp, phi, c, M):
@@ -137,53 +135,6 @@ def _zero_set_gradient(config: BarrierConfig, f, fp, phi):
     return (1.0 - BETA) ** 2 * f**2 / (1.0 + config.c**2) + (fp - f * np.sin(phi) / g) ** 2
 
 
-def gradient_on_zero_set(config: BarrierConfig, sol=None, num: int = 2001, side="sub"):
-    """Squared metric gradient along the implicit barrier zero set.
-
-    The value depends only on the angle: (1-beta)^2 f^2/(1+c^2) +
-    (f' - f g'/g)^2.  On the subsolution side the zero set sweeps angles
-    below the free-boundary angle and the values must stay >= 1; on the
-    supersolution side it lives beyond the angle and the values must
-    stay <= 1.  Returns (angles, values, ok).
-    """
-    if sol is None:
-        sol = symmetric_solution(config.c)
-    if side == "sub":
-        phi = np.linspace(0.02, sol.phi0, num)
-    elif side == "super":
-        if config.phi2 is None:
-            raise InvalidParameterError("supersolution side needs the pasting angle phi2")
-        if config.phi2 <= sol.phi0:
-            raise NoZeroError("pasting angle does not reach beyond the free boundary angle")
-        phi = np.linspace(sol.phi0, config.phi2, num)
-    else:
-        raise InvalidParameterError(f"unknown side {side!r}")
-    f, fp = sol.profile.sample(phi)
-    vals = _zero_set_gradient(config, f, fp, phi)
-    if side == "sub":
-        ok = bool(np.all(vals >= 1.0 - 1e-9))
-    else:
-        ok = bool(np.all(vals <= 1.0 + 1e-9))
-    return phi, vals, ok
-
-
-def derivative_decomposition(config: BarrierConfig, sol=None, num: int = 2001):
-    """Sampled decomposition rows on [0.02, phi0] and their worst value.
-
-    Returns (rows, margin) where rows stacks (phi, I, II, III) and
-    margin is the most positive I + II + III; a negative margin
-    certifies strict decrease of the zero-set gradient.
-    """
-    if sol is None:
-        sol = symmetric_solution(config.c)
-    phi = np.linspace(0.02, sol.phi0, num)
-    f, fp = sol.profile.sample(phi)
-    t1, t2, t3 = decomposition_terms(f, fp, phi, config.c, config.M)
-    rows = np.column_stack([phi, t1, t2, t3])
-    margin = float((t1 + t2 + t3).max())
-    return rows, margin
-
-
 def _super_window(config: BarrierConfig, sol, num: int = 2001):
     """Pasting angle in (phi0 + 0.05, phi0 + 0.3) with III < 0 and |grad| <= 1."""
     hi = sol.phi0 + 0.3
@@ -201,25 +152,34 @@ def _super_window(config: BarrierConfig, sol, num: int = 2001):
     return 0.5 * (lo + min(limit, hi))
 
 
+def _check_num(num):
+    if num < 2:
+        raise InvalidParameterError(f"need at least 2 sampled angles, got num = {num}")
+
+
 def audit_pair(c: float, M: float, num: int = 2001, sol=None) -> BarrierReport:
-    """Run the subsolution and window audits for one (c, M)."""
+    """Run the subsolution and window audits for one (c, M).
+
+    The profile is sampled once on num angles in [0.02, phi0]: there the
+    decomposition margin (the most positive I + II + III) must be
+    strictly negative and the zero-set gradient must stay >= 1.
+    """
+    _check_num(num)
     config = BarrierConfig(c=c, M=M)
-    ok_lap, worst_phi, worst_val = laplacian_sign_audit(config, num=num)
-    report = BarrierReport(
-        config=config,
-        laplacian_sign_ok=ok_lap,
-        laplacian_worst_phi=worst_phi,
-        laplacian_worst_value=worst_val,
-    )
-    if not ok_lap:
+    worst = laplacian_sign_audit(config)
+    report = BarrierReport(config=config, laplacian_sign_ok=worst <= 0.0, laplacian_worst_value=worst)
+    if worst > 0.0:
         return report
     if sol is None:
         sol = symmetric_solution(c)
-    _, margin = derivative_decomposition(config, sol=sol, num=num)
+    phi = np.linspace(0.02, sol.phi0, num)
+    f, fp = sol.profile.sample(phi)
+    t1, t2, t3 = decomposition_terms(f, fp, phi, c, M)
+    margin = float((t1 + t2 + t3).max())
+    zvals = _zero_set_gradient(config, f, fp, phi)
     report.decomposition_margin = margin
-    _, zvals, z_ok = gradient_on_zero_set(config, sol=sol, num=num)
     report.zero_set_min_gradient = float(zvals.min())
-    if margin >= 0.0 or not z_ok:
+    if margin >= 0.0 or not np.all(zvals >= 1.0 - 1e-9):
         return report
     phi2 = _super_window(config, sol, num=num)
     if phi2 is None:
@@ -239,6 +199,7 @@ def admissible_parameter_search(c_grid, num: int = 2001):
     Returns (c_barrier, reports); c_barrier is None when nothing
     certifies.
     """
+    _check_num(num)
     reports = []
     c_barrier = None
     for c in c_grid:
@@ -404,67 +365,63 @@ def supersolution_lift_check(config: BarrierConfig, nr: int = 128, nphi: int = 1
     )
 
 
-def _fd_hessian_gradient(fn, x, h):
-    x = np.asarray(x, dtype=float)
-
-    def u(p):
-        p = np.asarray(p, dtype=float)
-        return fn(p / np.linalg.norm(p))
-
-    grad = np.zeros(3)
-    hess = np.zeros((3, 3))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        grad[i] = (u(x + e) - u(x - e)) / (2 * h)
-        hess[i, i] = (u(x + e) - 2.0 * u(x) + u(x - e)) / (h * h)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ei = np.zeros(3)
-            ej = np.zeros(3)
-            ei[i] = h
-            ej[j] = h
-            hess[i, j] = hess[j, i] = (
-                u(x + ei + ej) - u(x + ei - ej) - u(x - ei + ej) + u(x - ei - ej)
-            ) / (4 * h * h)
-    return grad, hess
-
-
 def hessian_gradient_inequality(fn, points) -> float:
     """Minimum of sum Hess(u)_ij^2 - 2 |grad u|^2 over sphere points.
 
-    u is the zero-homogeneous extension of the sphere function fn; the
-    inequality holds pointwise for every such extension.  Derivatives
-    come from central differences at steps 1e-4 and 5e-5,
-    Richardson-extrapolated.
+    u is the zero-homogeneous extension of the sphere function fn, which
+    maps an (N, 3) array of unit vectors to N values; the inequality
+    holds pointwise for every such extension.  Derivatives at the rows
+    of the (N, 3) array points come from the 19-point central stencil at
+    steps 1e-4 and 5e-5, Richardson-extrapolated: 38 calls to fn.
     """
-    h = 1e-4
-    worst = math.inf
-    for x in points:
-        g1, h1 = _fd_hessian_gradient(fn, x, h)
-        g2, h2 = _fd_hessian_gradient(fn, x, 0.5 * h)
-        g = (4.0 * g2 - g1) / 3.0
-        hs = (4.0 * h2 - h1) / 3.0
-        worst = min(worst, float(np.sum(hs * hs) - 2.0 * float(g @ g)))
-    return worst
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != 3:
+        raise InvalidParameterError(f"points must be a nonempty (N, 3) array, got shape {x.shape}")
+    if not np.isfinite(x).all() or not np.linalg.norm(x, axis=1).all():
+        raise InvalidParameterError("points must be finite and nonzero")
+
+    def u(p):
+        vals = np.asarray(fn(p / np.linalg.norm(p, axis=1, keepdims=True)), dtype=float)
+        if vals.shape != (len(p),) or not np.isfinite(vals).all():
+            raise InvalidParameterError(f"fn must return {len(p)} finite values, got shape {vals.shape}")
+        return vals
+
+    grads, hessians = [], []
+    for h in (1e-4, 5e-5):
+        e = h * np.eye(3)
+        centre = u(x)
+        plus = [u(x + d) for d in e]
+        minus = [u(x - d) for d in e]
+        hess = np.empty((len(x), 3, 3))
+        for i in range(3):
+            hess[:, i, i] = (plus[i] - 2.0 * centre + minus[i]) / (h * h)
+            for j in range(i + 1, 3):
+                ei, ej = e[i], e[j]
+                hess[:, i, j] = hess[:, j, i] = (
+                    u(x + ei + ej) - u(x + ei - ej) - u(x - ei + ej) + u(x - ei - ej)
+                ) / (4 * h * h)
+        grads.append(np.column_stack([(p - m) / (2 * h) for p, m in zip(plus, minus)]))
+        hessians.append(hess)
+    g = (4.0 * grads[1] - grads[0]) / 3.0
+    hs = (4.0 * hessians[1] - hessians[0]) / 3.0
+    return float((np.sum(hs * hs, axis=(1, 2)) - 2.0 * np.sum(g * g, axis=1)).min())
 
 
-def subharmonicity_margin(sol, num_points: int = 400, phi_pad: float = 0.08):
+def subharmonicity_margin(sol):
     """Pointwise check that the gradient magnitude is subharmonic on the cap.
 
     For the degree-alpha separated harmonic the identity
     Laplacian(|grad v|^2) = 2 ||Hess v||^2 - 2 alpha(alpha+1) |grad v|^2
     must be nonnegative.  For the zero-homogeneous u = f(phi) at |x| = 1,
     ||Hess u||^2 = f''^2 + cot^2(phi) f'^2 + 2 f'^2 in closed form, with
-    f'' from the profile equation; it is evaluated at num_points uniform
-    angles in [phi_pad, phi0 - phi_pad].  Returns (min margin, angle of
-    the gradient maximum, boundary flag) where the flag records that the
-    maximum of |grad_theta f|^2 over the cap sits at the cap boundary.
+    f'' from the profile equation; it is evaluated at 400 uniform angles
+    in [0.08, phi0 - 0.08] (phi0 >= pi/2, so the range is never empty).
+    Returns (min margin, angle of the gradient maximum, boundary flag)
+    where the flag records that the maximum of |grad_theta f|^2 over the
+    cap sits at the cap boundary.
     """
-    if num_points < 1 or not 0.0 < phi_pad < 0.5 * sol.phi0:
-        raise InvalidParameterError("need num_points >= 1 and 0 < phi_pad < phi0/2")
     lam = sol.profile.lam  # alpha (alpha + 1), the profile equation's eigenvalue
-    phi = np.linspace(phi_pad, sol.phi0 - phi_pad, num_points)
+    phi = np.linspace(_SUB_PAD, sol.phi0 - _SUB_PAD, _SUB_POINTS)
     f, fp = sol.profile.sample(phi)
     cot = np.cos(phi) / np.sin(phi)
     fpp = -cot * fp - lam * f

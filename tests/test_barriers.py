@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conefbp.barriers import (
+    DYADIC_OFFSETS,
     BarrierConfig,
     _cut_edges,
     _plane_gradient_sq,
+    _zero_set_gradient,
     admissible_parameter_search,
+    audit_pair,
     decomposition_terms,
-    derivative_decomposition,
-    gradient_on_zero_set,
     hessian_gradient_inequality,
     laplacian_sign_audit,
     subharmonicity_margin,
@@ -30,20 +31,28 @@ def sol002():
 
 class TestLaplacianSignAudit:
     def test_offset_eight_fails_at_the_pole(self):
-        ok, worst_phi, worst_val = laplacian_sign_audit(BarrierConfig(c=0.0, M=8.0))
-        assert not ok
-        assert worst_phi == 0.0
         # bracket at the pole: -(1/4)(M-1) + 2 = +1/4 for M = 8
-        assert abs(worst_val - 0.25) < 1e-12
+        worst = laplacian_sign_audit(BarrierConfig(c=0.0, M=8.0))
+        assert abs(worst - 0.25) < 1e-12
+        assert not audit_pair(0.0, 8.0).laplacian_sign_ok
 
     def test_offset_sixteen_passes(self):
-        ok, worst_phi, worst_val = laplacian_sign_audit(BarrierConfig(c=0.0, M=16.0))
-        assert ok
-        assert abs(worst_val + 1.75) < 1e-12
+        assert abs(laplacian_sign_audit(BarrierConfig(c=0.0, M=16.0)) + 1.75) < 1e-12
 
     def test_huge_offset_passes(self):
-        ok, _, worst_val = laplacian_sign_audit(BarrierConfig(c=0.5, M=1024.0))
-        assert ok and worst_val < -100.0
+        assert laplacian_sign_audit(BarrierConfig(c=0.5, M=1024.0)) < -100.0
+
+    @pytest.mark.parametrize("c", [0.0, 0.02, 0.3, 1.0, 10.0])
+    def test_closed_form_equals_sampled_maximum(self, c):
+        # the bracket -(M - cos)/(4(1+c^2)) + 2 cos on 10,001 angles; its
+        # sign flips at M = 1 + 8(1+c^2)
+        phi = np.linspace(0.0, math.pi, 10001)
+        threshold = 1.0 + 8.0 * (1.0 + c * c)
+        for M in DYADIC_OFFSETS + (threshold * (1.0 - 1e-9), threshold * (1.0 + 1e-9)):
+            bracket = -0.25 / (1.0 + c * c) * (M - np.cos(phi)) + 2.0 * np.cos(phi)
+            worst = laplacian_sign_audit(BarrierConfig(c=c, M=M))
+            assert worst == bracket.max()
+            assert (worst <= 0.0) == (M > threshold)
 
     def test_offset_domain(self):
         with pytest.raises(InvalidParameterError):
@@ -84,8 +93,9 @@ class TestDecomposition:
             assert abs(fd - 2.0 * (t1 + t2 + t3)) < 1e-6
 
     def test_negative_margin_certifies(self, sol002):
-        _, margin = derivative_decomposition(BarrierConfig(c=0.02, M=16.0), sol=sol002)
-        assert margin < -1e-3
+        rep = audit_pair(0.02, 16.0, sol=sol002)
+        assert rep.decomposition_margin < -1e-3
+        assert rep.certified
 
     def test_vanishing_slope_kills_third_term(self):
         phi = np.linspace(0.3, 1.2, 50)
@@ -99,20 +109,25 @@ class TestDecomposition:
 
 
 class TestZeroSetGradient:
+    @staticmethod
+    def _values(sol, lo, hi):
+        phi = np.linspace(lo, hi, 2001)
+        f, fp = sol.profile.sample(phi)
+        return phi, _zero_set_gradient(BarrierConfig(c=0.02, M=16.0), f, fp, phi)
+
     def test_unit_value_at_free_boundary_angle(self, sol002):
-        phi, vals, ok = gradient_on_zero_set(BarrierConfig(c=0.02, M=16.0), sol=sol002)
+        # f(phi0) = 0 and |f'(phi0)| = 1, and the gradient exceeds one below phi0
+        _, vals = self._values(sol002, 0.02, sol002.phi0)
         assert abs(vals[-1] - 1.0) < 1e-9
-        assert ok
+        assert abs(audit_pair(0.02, 16.0, sol=sol002).zero_set_min_gradient - 1.0) < 1e-9
 
     def test_exceeds_one_below_angle(self, sol002):
-        phi, vals, _ = gradient_on_zero_set(BarrierConfig(c=0.02, M=16.0), sol=sol002)
+        phi, vals = self._values(sol002, 0.02, sol002.phi0)
         inside = phi < sol002.phi0 - 0.05
         assert np.all(vals[inside] > 1.0)
 
     def test_super_side_below_one(self, sol002):
-        cfg = BarrierConfig(c=0.02, M=16.0, phi2=sol002.phi0 + 0.08)
-        _, vals, ok = gradient_on_zero_set(cfg, sol=sol002, side="super")
-        assert ok
+        _, vals = self._values(sol002, sol002.phi0, sol002.phi0 + 0.08)
         assert np.all(vals <= 1.0 + 1e-9)
 
 
@@ -138,6 +153,13 @@ class TestParameterSearch:
         _, coarse = admissible_parameter_search([0.05], num=801)
         _, fine = admissible_parameter_search([0.05], num=1601)
         assert any(r.certified for r in coarse) == any(r.certified for r in fine)
+
+    @pytest.mark.parametrize("num", [0, 1])
+    def test_fewer_than_two_angles_rejected(self, num):
+        with pytest.raises(InvalidParameterError, match="2 sampled angles"):
+            audit_pair(0.02, 16.0, num=num)
+        with pytest.raises(InvalidParameterError, match="2 sampled angles"):
+            admissible_parameter_search([0.02], num=num)
 
     def test_certificate_serializes(self):
         _, reports = admissible_parameter_search([0.02], num=401)
@@ -251,35 +273,81 @@ class TestSupersolutionLift:
             supersolution_lift_check(cfg, nr=64, nphi=4, sol=sol002)
 
 
+def _quadratic(seed):
+    r = np.random.default_rng(seed)
+    a = r.normal(size=3)
+    q = r.normal(size=(3, 3))
+    return lambda p: p @ a + np.einsum("ni,ij,nj->n", p, q, p)
+
+
+def _sphere(rng, n):
+    x = rng.normal(size=(n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
 class TestHessianGradient:
+    @pytest.fixture
+    def pts(self):
+        return _sphere(np.random.default_rng(7), 200)
+
     def test_constant_function(self, rng):
-        pts = [x / np.linalg.norm(x) for x in rng.normal(size=(20, 3))]
-        assert hessian_gradient_inequality(lambda p: 2.5, pts) == 0.0
+        assert hessian_gradient_inequality(lambda p: np.full(len(p), 2.5), _sphere(rng, 20)) == 0.0
 
     def test_degree_one_restriction(self, rng):
-        pts = [x / np.linalg.norm(x) for x in rng.normal(size=(200, 3))]
-        res = hessian_gradient_inequality(lambda p: p[2] / np.linalg.norm(p), pts)
-        assert res >= -1e-6
+        assert hessian_gradient_inequality(lambda p: p[:, 2], _sphere(rng, 200)) >= -1e-6
 
     def test_random_functions(self, rng):
-        pts = [x / np.linalg.norm(x) for x in rng.normal(size=(200, 3))]
+        pts = _sphere(rng, 200)
         for seed in range(5):
-            r = np.random.default_rng(seed)
-            a = r.normal(size=3)
-            q = r.normal(size=(3, 3))
+            assert hessian_gradient_inequality(_quadratic(seed), pts) >= -1e-6
 
-            def fn(p, a=a, q=q):
-                p = np.asarray(p, dtype=float)
-                p = p / np.linalg.norm(p)
-                return float(a @ p + p @ q @ p)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_function_closed_form(self, pts, seed):
+        # u = a.x/|x| has ||Hess u||^2 - 2 |grad u|^2 = 2 (a.x)^2 on the sphere;
+        # a has unit length since the stencil's rounding grows like |a|^2
+        a = np.random.default_rng(seed).normal(size=3)
+        a /= np.linalg.norm(a)
+        exact = 2.0 * ((pts @ a) ** 2).min()
+        assert abs(hessian_gradient_inequality(lambda p: p @ a, pts) - exact) < 1e-6
 
-            assert hessian_gradient_inequality(fn, pts) >= -1e-6
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_one_call_per_stencil_point(self, n):
+        calls = []
+
+        def fn(p):
+            calls.append(len(p))
+            return p[:, 0] * p[:, 1]
+
+        hessian_gradient_inequality(fn, _sphere(np.random.default_rng(n), n))
+        assert calls == [n] * 38
+
+    @pytest.mark.parametrize(
+        "points",
+        [[], np.zeros((0, 3)), [1.0, 0.0, 0.0], np.ones((4, 2)), [[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]]],
+        ids=["empty", "no-rows", "flat", "two-columns", "nan"],
+    )
+    def test_bad_points_rejected(self, points):
+        with pytest.raises(InvalidParameterError, match="points"):
+            hessian_gradient_inequality(lambda p: p[:, 2], points)
+
+    def test_zero_point_rejected(self, pts):
+        with pytest.raises(InvalidParameterError, match="nonzero"):
+            hessian_gradient_inequality(lambda p: p[:, 2], np.vstack([pts, np.zeros(3)]))
+
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda p: 2.5, lambda p: p, lambda p: p[:-1, 2], lambda p: np.full(len(p), math.nan)],
+        ids=["scalar", "vectors", "short", "nan"],
+    )
+    def test_bad_values_rejected(self, pts, fn):
+        with pytest.raises(InvalidParameterError, match="finite values"):
+            hessian_gradient_inequality(fn, pts)
 
 
 class TestSubharmonicity:
     def test_flat_cosine_margin(self):
         sol = symmetric_solution(0.0)
-        margin, loc, at_boundary = subharmonicity_margin(sol, num_points=120)
+        margin, loc, at_boundary = subharmonicity_margin(sol)
         # analytic margin for cos(phi) at exponent 1 is 4 cos^2 >= 0
         assert margin >= -1e-6
         assert at_boundary
@@ -288,19 +356,13 @@ class TestSubharmonicity:
     def test_flat_cone_closed_form(self):
         # 2 ||Hess cos||^2 - 4 sin^2 = 4 cos^2, smallest at the last sampled angle
         sol = symmetric_solution(0.0)
-        margin, _, _ = subharmonicity_margin(sol, num_points=120, phi_pad=0.08)
+        margin, _, _ = subharmonicity_margin(sol)
         assert abs(margin - 4.0 * math.cos(sol.phi0 - 0.08) ** 2) < 1e-9
-
-    @pytest.mark.parametrize("kwargs", [{"num_points": 0}, {"phi_pad": 0.0}, {"phi_pad": 1.0}])
-    def test_sampling_validated(self, sol002, kwargs):
-        # cot is infinite at phi = 0; phi_pad = 1.0 would reverse [pad, phi0 - pad]
-        with pytest.raises(InvalidParameterError):
-            subharmonicity_margin(sol002, **kwargs)
 
     @pytest.mark.parametrize("c", [0.2, 0.5])
     def test_computed_profiles(self, c):
         sol = symmetric_solution(c)
-        margin, loc, at_boundary = subharmonicity_margin(sol, num_points=150)
+        margin, loc, at_boundary = subharmonicity_margin(sol)
         assert margin >= -1e-4
         assert at_boundary
         assert abs(loc - sol.phi0) < 2e-3
