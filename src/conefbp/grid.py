@@ -104,30 +104,6 @@ def field_from_solution(sol, nr, nphi, r_min=None) -> AxisymField:
     return field
 
 
-def _d_dr(values, r):
-    out = np.empty_like(values)
-    dr0 = r[1:-1] - r[:-2]
-    dr1 = r[2:] - r[1:-1]
-    # three-point first derivative, exact for quadratics on uneven grids
-    w0 = -dr1 / (dr0 * (dr0 + dr1))
-    w2 = dr0 / (dr1 * (dr0 + dr1))
-    w1 = -(w0 + w2)
-    out[1:-1] = w0[:, None] * values[:-2] + w1[:, None] * values[1:-1] + w2[:, None] * values[2:]
-    h0 = r[1] - r[0]
-    h1 = r[2] - r[1]
-    a = -(2 * h0 + h1) / (h0 * (h0 + h1))
-    b = (h0 + h1) / (h0 * h1)
-    cc = -h0 / (h1 * (h0 + h1))
-    out[0] = a * values[0] + b * values[1] + cc * values[2]
-    h0 = r[-1] - r[-2]
-    h1 = r[-2] - r[-3]
-    a = (2 * h0 + h1) / (h0 * (h0 + h1))
-    b = -(h0 + h1) / (h0 * h1)
-    cc = h0 / (h1 * (h0 + h1))
-    out[-1] = a * values[-1] + b * values[-2] + cc * values[-3]
-    return out
-
-
 def dirichlet_edge_weights(field: AxisymField):
     """Edge weights of the conservative Dirichlet form.
 
@@ -306,9 +282,7 @@ def gradient_sq_field(field: AxisymField) -> np.ndarray:
     Second-order differences, one-sided at the grid edges:
     |grad_c u|^2 = u_r^2/(1+c^2) + u_phi^2/r^2.
     """
-    u = field.values
-    ur = _d_dr(u, field.r)
-    up = _d_dr(u.T, field.phi).T
+    ur, up = np.gradient(field.values, field.r, field.phi, edge_order=2)
     return ur**2 / (1.0 + field.c * field.c) + up**2 / field.r[:, None] ** 2
 
 

@@ -86,9 +86,6 @@ class MinimizeResult:
     fb_angle_per_radius: list
     fb_mean: float | None
     fb_spread: float | None
-    sup_distance_to_phi: float | None
-    energy_gap: float | None
-    vertex_touch: bool
     outer_energies: list = dataclass_field(default_factory=list)
     halvings: int = 0
 
@@ -217,9 +214,6 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
         fb_angle_per_radius=free_boundary_angle(out_field),
         fb_mean=None,
         fb_spread=None,
-        sup_distance_to_phi=None,
-        energy_gap=None,
-        vertex_touch=_vertex_touch(out_field),
         outer_energies=outer_energies,
         halvings=halvings,
     )

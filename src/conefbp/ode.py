@@ -15,10 +15,13 @@ the far pole are located in the stretched variable tau = log tan(phi/2),
 where the equation becomes the smooth u'' = -lam sech(tau)^2 u.  Both
 charts are linear, y'' = p y' + q y, so one RK4 kernel integrates them
 from coefficient arrays (p = -cot phi, q = -lam on the angular grid;
-p = 0, q = -lam sech^2 tau on the tail) and one Hermite evaluator gives
+p = 0, q = -lam sech^2 tau on the tail) and one Hermite kernel gives
 dense (value, slope) output on either.  Being linear, each RK4 step is
 a 2x2 matrix; the kernel builds the matrices with numpy in fixed blocks
-of steps and applies them in order in a plain-float loop.
+of steps and applies them in order in a plain-float loop.  Dense output
+in phi has one array evaluator, RadialProfile.sample, for angles in
+[0, pi): pole series up to the first node, grid Hermite, and the tau
+tail beyond the grid end; its scalar forms are views of it.
 
 The module produces the normalized symmetric solution (beta = 1 profile
 rescaled to unit slope at its first zero) and the beta = -1/2 comparison
@@ -189,11 +192,6 @@ def _hermite(xs, ys, ds, dds, i, x):
     )
 
 
-def _interval(xs, x) -> int:
-    """Index i of the interval [xs[i], xs[i+1]] holding the scalar x, clamped to the ends."""
-    return min(max(int(np.searchsorted(xs, x)) - 1, 0), len(xs) - 2)
-
-
 def tau_of_phi(phi: float) -> float:
     """Stretched coordinate log tan(phi/2); maps (0, pi) onto the line."""
     return math.log(math.tan(0.5 * phi))
@@ -258,62 +256,64 @@ class RadialProfile:
             self._tail_u = np.concatenate([self._tail_u, u[1:]])
             self._tail_up = np.concatenate([self._tail_up, up[1:]])
 
-    def _tail_eval(self, tau: float):
-        """(u, du/dtau) at one stretched coordinate."""
-        self.ensure_tail(tau)
-        i = _interval(self._tail_tau, tau)
-        tt = self._tail_tau[i : i + 2]
-        u = self._tail_u[i : i + 2]
-        return _hermite(tt, u, self._tail_up[i : i + 2], _tail_q(self.lam, tt) * u, 0, tau)
+    def _tail_sample(self, taus):
+        """(u, du/dtau) at stretched coordinates beyond the grid end, scalar or array."""
+        self.ensure_tail(np.max(taus))
+        tt = self._tail_tau
+        # the interior nodes give the interval index clamped to the ends
+        i = np.searchsorted(tt[1:-1], taus)
+        # q u only on the two nodes of each interval
+        k = [i, i + 1]
+        t, u = tt[k], self._tail_u[k]
+        return _hermite(t, u, self._tail_up[k], _tail_q(self.lam, t) * u, 0, taus)
 
     def value_and_deriv_at_tau(self, tau: float):
         """Dense (f, f') at phi = phi_of_tau(tau) through the tail.
 
         tau keeps the digits that phi loses near pi, where phi may even
-        round to pi.  tau must lie beyond the angular grid.
+        round to pi.  A tau that is not finite or lies short of the grid
+        end raises InvalidParameterError.
         """
         tau = float(tau)
-        u, up = self._tail_eval(tau)
+        if not (math.isfinite(tau) and tau >= tau_of_phi(self.grid[-1])):
+            raise InvalidParameterError(f"tail coordinate must be finite and beyond the grid end, got {tau}")
+        u, up = self._tail_sample(tau)
         # f' = u' / sin(phi) with sin(phi) = sech(tau)
         return float(u), float(up * math.cosh(tau))
 
     def value_and_deriv(self, phi: float):
-        """Dense (f, f') at a single angle, tail-aware beyond the grid."""
-        phi = float(phi)
-        g = self.grid
-        if phi <= g[0]:
-            f, fp = pole_series(self.lam, np.array([phi]), f0=self.f0, order=2)
-            return float(f[0]), float(fp[0])
-        if phi >= math.pi:
-            raise PoleCollisionError("profile evaluation at or beyond phi = pi")
-        if phi <= g[-1]:
-            f, fp = _hermite(g, self.values, self.derivs, self.second_derivs(), _interval(g, phi), phi)
-            return float(f), float(fp)
-        return self.value_and_deriv_at_tau(tau_of_phi(phi))
+        """Dense (f, f') at a single angle; see ``sample``."""
+        f, fp = self.sample([phi])
+        return float(f[0]), float(fp[0])
 
     def sample(self, phis):
-        """Vectorized dense (f, f') on an array of angles."""
+        """Dense (f, f') on an array of angles in [0, pi).
+
+        The pole series serves angles up to the first grid node, cubic
+        Hermite output the grid, and the stretched-variable tail the
+        angles beyond it.  A non-finite or negative angle raises
+        InvalidParameterError, an angle at or beyond pi PoleCollisionError.
+        """
         phis = np.asarray(phis, dtype=float)
+        if not (np.isfinite(phis) & (phis >= 0.0)).all():
+            raise InvalidParameterError("profile angles must be finite and >= 0")
+        if np.any(phis >= math.pi):
+            raise PoleCollisionError("profile evaluation at or beyond phi = pi")
         g = self.grid
         f = np.empty_like(phis)
         fp = np.empty_like(phis)
         below = phis <= g[0]
-        if below.any():
-            f[below], fp[below] = pole_series(self.lam, phis[below], f0=self.f0, order=2)
+        f[below], fp[below] = pole_series(self.lam, phis[below], f0=self.f0, order=2)
         beyond = phis > g[-1]
-        for k in np.nonzero(beyond)[0]:
-            f[k], fp[k] = self.value_and_deriv(float(phis[k]))
+        if beyond.any():
+            tau = np.log(np.tan(0.5 * phis[beyond]))
+            u, up = self._tail_sample(tau)
+            f[beyond], fp[beyond] = u, up * np.cosh(tau)
         mid = ~below & ~beyond
-        if mid.any():
-            x = phis[mid]
-            i = np.clip(np.searchsorted(g, x) - 1, 0, len(g) - 2)
-            f[mid], fp[mid] = _hermite(g, self.values, self.derivs, self.second_derivs(), i, x)
+        x = phis[mid]
+        i = np.searchsorted(g[1:-1], x)
+        f[mid], fp[mid] = _hermite(g, self.values, self.derivs, self.second_derivs(), i, x)
         return f, fp
-
-    def value(self, phi):
-        if np.ndim(phi):
-            return self.sample(phi)[0]
-        return float(self.value_and_deriv(float(phi))[0])
 
     def scaled(self, factor: float) -> "RadialProfile":
         out = RadialProfile(
@@ -436,7 +436,7 @@ def _locate_zero(profile: RadialProfile):
     hits = np.nonzero((u[:-1] > 0.0) & (u[1:] <= 0.0))[0]
     if hits.size:
         i = int(hits[0])
-        tau0 = _bracketed_newton(profile._tail_eval, tt[i], tt[i + 1], u[i], u[i + 1])
+        tau0 = float(_bracketed_newton(profile._tail_sample, tt[i], tt[i + 1], u[i], u[i + 1]))
         return phi_of_tau(tau0), tau0, profile.value_and_deriv_at_tau(tau0)[1]
     u_end, up_end = float(u[-1]), float(up[-1])
     if up_end >= 0.0:
@@ -476,14 +476,10 @@ class SymmetricSolution:
     t0: float
     sin_phi0: float
     H1: float
-    slope_at_zero: float
 
     @property
     def c(self) -> float:
         return self.profile.c
-
-    def profile_value(self, phi):
-        return self.profile.value(phi)
 
 
 def _phi_max(step) -> float:
@@ -508,7 +504,6 @@ def symmetric_solution(c, step=DEFAULT_STEP) -> SymmetricSolution:
         t0=t0,
         sin_phi0=sin0,
         H1=-t0 / sin0,
-        slope_at_zero=-1.0,
     )
 
 

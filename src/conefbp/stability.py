@@ -18,7 +18,7 @@ the margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,17 +59,7 @@ class StabilityReport:
     steklov_lambda: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "phi0": self.phi0,
-            "H1": self.H1,
-            "g_at_phi0": self.g_at_phi0,
-            "gp_at_phi0": self.gp_at_phi0,
-            "margin": self.margin,
-            "stable": self.stable,
-            "ratio": self.ratio,
-            "steklov_lambda": self.steklov_lambda,
-        }
+        return asdict(self)
 
 
 def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport:
@@ -213,33 +203,6 @@ def radial_instability_witness(c, F, step=_SWEEP_STEP):
     return float(lhs), float(rhs)
 
 
-def _annulus(c, R, num_r, num_phi, step):
-    """Log-r annulus grid on (1/R, R) x [0, phi0] and its separable edge weights.
-
-    The discrete form int [F_rho^2/(1+c^2) + F_phi^2] e^rho sin(phi) has
-    radial edge weights a_i d_j and angular edge weights m_i b_j; the
-    free-boundary mass is |t0| m_i on the last phi column.  Returns
-    ((a, d, m, b), |t0|).
-    """
-    c = float(c)
-    R = float(R)
-    if not (math.isfinite(c) and c > 0.0):
-        raise InvalidParameterError("boundary quotient needs finite c > 0 so the curvature is positive")
-    if not (math.isfinite(R) and R >= 4.0):
-        raise InvalidParameterError("annulus ratio R must be finite and at least 4")
-    if num_r < 3 or num_phi < 2:
-        raise InvalidParameterError("annulus grid needs num_r >= 3 and num_phi >= 2")
-    sol = symmetric_solution(c, step=step)
-    rho_max = math.log(R)
-    rho = np.linspace(-rho_max, rho_max, num_r)
-    phi = np.linspace(0.0, sol.phi0, num_phi)
-    a = np.exp(0.5 * (rho[1:] + rho[:-1])) / (rho[1] - rho[0])
-    d = np.sin(phi) * trapezoid_weights(phi) / (1.0 + c * c)
-    m = np.exp(rho) * trapezoid_weights(rho)
-    b = np.sin(0.5 * (phi[1:] + phi[:-1])) / (phi[1] - phi[0])
-    return (a, d, m, b), abs(sol.t0)
-
-
 def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> float:
     """Minimum of the discrete boundary Rayleigh quotient on (1/R, R).
 
@@ -262,11 +225,29 @@ def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> floa
     ``stability_margin`` (mu = 1/4); the gap to that ratio decays like
     1/log^2 R.
     """
-    (a, d, m, b), t0_abs = _annulus(c, R, num_r, num_phi, step)
+    c = float(c)
+    R = float(R)
+    if not (math.isfinite(c) and c > 0.0):
+        raise InvalidParameterError("boundary quotient needs finite c > 0 so the curvature is positive")
+    if not (math.isfinite(R) and R >= 4.0):
+        raise InvalidParameterError("annulus ratio R must be finite and at least 4")
+    if num_r < 3 or num_phi < 2:
+        raise InvalidParameterError("annulus grid needs num_r >= 3 and num_phi >= 2")
+    sol = symmetric_solution(c, step=step)
+    rho_max = math.log(R)
+    rho = np.linspace(-rho_max, rho_max, num_r)
+    phi = np.linspace(0.0, sol.phi0, num_phi)
+    # the discrete form int [F_rho^2/(1+c^2) + F_phi^2] e^rho sin(phi) has
+    # radial edge weights a_i d_j and angular edge weights m_i b_j; the
+    # free-boundary mass is |t0| m_i on the last phi column
+    a = np.exp(0.5 * (rho[1:] + rho[:-1])) / (rho[1] - rho[0])
+    d = np.sin(phi) * trapezoid_weights(phi) / (1.0 + c * c)
+    m = np.exp(rho) * trapezoid_weights(rho)
+    b = np.sin(0.5 * (phi[1:] + phi[:-1])) / (phi[1] - phi[0])
     scale = 1.0 / np.sqrt(m[1:-1])
     k = _stiffness(a)[1:-1, 1:-1]
     mu1 = np.linalg.eigvalsh(scale[:, None] * k * scale[None, :])[0]
     e_last = np.zeros(num_phi)
     e_last[-1] = 1.0
     h = np.linalg.solve(mu1 * np.diag(d) + _stiffness(b), e_last)
-    return float(1.0 / (t0_abs * h[-1]))
+    return float(1.0 / (abs(sol.t0) * h[-1]))

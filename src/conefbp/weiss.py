@@ -39,7 +39,6 @@ class WeissTrace:
     values: np.ndarray
     monotone_violation: float
     homogeneity_flag: bool
-    tolerance: float
 
 
 def _shell_integrand(fld: AxisymField) -> np.ndarray:
@@ -108,15 +107,8 @@ def weiss_trace(fld: AxisymField, num_radii: int = 16, r_lo=None, r_hi=None) -> 
     inc = np.diff(values)
     violation = float(min(0.0, inc.min()))
     h = max(float(np.diff(fld.r).max()), float(fld.phi[1] - fld.phi[0]))
-    tol = 5.0 * h
-    flag = bool(values.max() - values.min() <= tol)
-    return WeissTrace(
-        radii=radii,
-        values=values,
-        monotone_violation=violation,
-        homogeneity_flag=flag,
-        tolerance=tol,
-    )
+    flag = bool(values.max() - values.min() <= 5.0 * h)
+    return WeissTrace(radii=radii, values=values, monotone_violation=violation, homogeneity_flag=flag)
 
 
 def rescale_field(fld: AxisymField, rho: float) -> AxisymField:

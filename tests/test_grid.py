@@ -166,7 +166,7 @@ class TestGradient:
     def test_pole_value_from_profile(self, sol03):
         f = field_from_solution(sol03, 96, 96)
         gsq = gradient_sq_field(f)
-        f0 = sol03.profile_value(1e-9)
+        f0 = sol03.profile.value_and_deriv(1e-9)[0]
         expected = f0 * f0 / 1.09
         assert abs(gsq[48, 0] - expected) <= 5e-3
 

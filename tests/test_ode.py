@@ -20,7 +20,7 @@ from conefbp.ode import (
     symmetric_solution,
 )
 
-from conftest import legendre_series, scalar_rk4, series_zero
+from conftest import legendre_series, legendre_series_deriv, scalar_rk4, series_zero
 
 # series-oracle anchors (bisection of the power series, independent of RK4)
 PHI0_HALF = 1.7236976651367066
@@ -45,12 +45,18 @@ class TestIntegrateProfile:
         cot = np.cos(g[1:-1]) / np.sin(g[1:-1])
         assert np.max(np.abs(d2 + cot * d1 + p.lam * f[1:-1])) <= 1e-8
 
-    @pytest.mark.parametrize("beta,c", [(1.0, 0.7), (-0.5, 1.3)])
+    @pytest.mark.parametrize("beta,c", [(1.0, 0.7), (-0.5, 1.3), (1.0, 3.0)])
     def test_against_series_oracle(self, beta, c):
+        # the angles past the 2.2 grid end check the stretched-variable
+        # tail; they stop at 2.95 because the 6,000-term series itself
+        # drifts to 5e-8 at 3.05
         lam = beta * (beta + 1.0) / (1.0 + c * c)
         p = integrate_profile(beta, c, 2.2, step=DEFAULT_STEP)
-        for phi in (0.4, 1.1, 1.8, 2.15):
-            assert abs(p.value(phi) - legendre_series(lam, phi)) < 1e-10
+        phis = np.array([0.4, 1.1, 1.8, 2.15, 2.25, 2.4, 2.6, 2.8, 2.95])
+        f, fp = p.sample(phis)
+        for k, phi in enumerate(phis):
+            assert abs(f[k] - legendre_series(lam, phi)) < 1e-10
+            assert abs(fp[k] - legendre_series_deriv(lam, phi)) < 1e-9
 
     def test_series_start_consistency(self):
         # first grid samples match the pole series to O(step^4); at the
@@ -114,6 +120,29 @@ class TestIntegrateProfile:
             assert abs(value - math.cos(phi)) <= 1e-10
             # f' + sin(phi) carries the tail's 1/sin(phi) amplification
             assert abs(math.sin(phi) * (slope + math.sin(phi))) <= 1e-10
+
+    @pytest.mark.parametrize("phi", [math.nan, -0.1, math.inf, -math.inf])
+    def test_bad_angles_rejected(self, phi):
+        p = integrate_profile(1.0, 0.3, 2.2, step=1e-3)
+        for phis in ([phi], [1.0, phi, 2.5]):
+            with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+                p.sample(phis)
+        with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+            p.value_and_deriv(phi)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -3.0])
+    def test_bad_tail_coordinates_rejected(self, tau):
+        # -3.0 lies short of the tail, which starts at log tan(1.1) = 0.675
+        p = integrate_profile(-0.5, 0.3, 2.2, step=1e-3)
+        p.ensure_tail(5.0)
+        with pytest.raises(InvalidParameterError, match="beyond the grid end"):
+            p.value_and_deriv_at_tau(tau)
+
+    def test_angle_at_pi_rejected(self):
+        p = integrate_profile(1.0, 0.3, 2.2, step=1e-3)
+        for phis in ([math.pi], [1.0, 2.5, math.pi]):
+            with pytest.raises(PoleCollisionError):
+                p.sample(phis)
 
     def test_domain_errors(self):
         with pytest.raises(PoleCollisionError):
@@ -212,7 +241,6 @@ class TestSymmetricSolution:
         sol = symmetric_solution(0.0)
         assert abs(sol.phi0 - math.pi / 2.0) <= 1e-8
         assert abs(sol.H1) <= 1e-8
-        assert sol.slope_at_zero == -1.0
 
     def test_normalization_gives_unit_gradient(self, sol05):
         # |grad(r f)|^2 at the zero = f'(phi0)^2 + f(phi0)^2/(1+c^2)
@@ -275,7 +303,7 @@ class TestBetaHalfProfile:
 
     def test_positive_at_moderate_zero_angle(self, sol03):
         g = beta_half_profile(0.3)
-        assert g.value(sol03.phi0) > 0.0
+        assert g.value_and_deriv(sol03.phi0)[0] > 0.0
 
 
 class TestSerialization:
