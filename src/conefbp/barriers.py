@@ -165,6 +165,8 @@ def audit_pair(c: float, M: float, num: int = 2001, sol=None) -> BarrierReport:
     strictly negative and the zero-set gradient must stay >= 1.
     """
     _check_num(num)
+    if sol is not None and sol.c != c:
+        raise InvalidParameterError(f"given solution has slope {sol.c}, not {c}")
     config = BarrierConfig(c=c, M=M)
     worst = laplacian_sign_audit(config)
     report = BarrierReport(config=config, laplacian_sign_ok=worst <= 0.0, laplacian_worst_value=worst)
@@ -285,6 +287,8 @@ def supersolution_lift_check(config: BarrierConfig, nr: int = 128, nphi: int = 1
     """
     if sol is None:
         sol = symmetric_solution(config.c)
+    elif sol.c != config.c:
+        raise InvalidParameterError(f"given solution has slope {sol.c}, not {config.c}")
     if config.phi2 is None:
         raise InvalidParameterError("lift check needs the pasting angle phi2")
     phi2 = float(config.phi2)

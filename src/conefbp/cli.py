@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -280,6 +279,8 @@ def _cmd_sweep(args, out):
     tasks = [(sub, v, shared) for v in grid_values]
     workers = _worker_count(args.jobs, len(tasks))
     if workers > 1:
+        # imported here: its ~18 ms import serves no other command
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

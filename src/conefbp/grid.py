@@ -66,8 +66,8 @@ class AxisymField:
         )
 
 
-def make_field(nr, nphi, c, r_min=None, values=None) -> AxisymField:
-    """Uniform grid on [r_min, 1] x [0, pi] for the cone of slope c >= 0."""
+def make_field(nr, nphi, c, r_min=None) -> AxisymField:
+    """Zero field on the uniform grid [r_min, 1] x [0, pi] for the cone of slope c >= 0."""
     nr = int(nr)
     nphi = int(nphi)
     if nr < 4 or nphi < 4:
@@ -81,16 +81,9 @@ def make_field(nr, nphi, c, r_min=None, values=None) -> AxisymField:
         raise InvalidParameterError("r_min must lie in (0, 1)")
     r = np.linspace(r_min, 1.0, nr)
     phi = np.linspace(0.0, math.pi, nphi)
-    if values is None:
-        values = np.zeros((nr, nphi))
-    values = np.asarray(values, dtype=float)
-    if values.shape != (nr, nphi):
-        raise GridMismatchError("values shape does not match the grid")
-    if not np.all(np.isfinite(values) & (values >= 0.0)):
-        raise InvalidParameterError("field values must be finite and nonnegative")
     dirichlet = np.zeros((nr, nphi), dtype=bool)
     dirichlet[-1, :] = True
-    return AxisymField(r=r, phi=phi, values=values, c=c, dirichlet=dirichlet)
+    return AxisymField(r=r, phi=phi, values=np.zeros((nr, nphi)), c=c, dirichlet=dirichlet)
 
 
 def field_from_solution(sol, nr, nphi, r_min=None) -> AxisymField:

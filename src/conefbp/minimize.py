@@ -131,16 +131,13 @@ def _smoothstep_deriv(t):
 def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     """Minimize the penalized energy for Dirichlet data at r = 1.
 
-    boundary is an array of nphi nonnegative values or a callable of
-    phi.  The iterate starts from the one-homogeneous extension of the
-    data, which keeps the search inside the basin of the symmetric
-    solution whenever that is the minimizer.
+    boundary is an array of nphi nonnegative values at the grid angles
+    linspace(0, pi, nphi).  The iterate starts from the one-homogeneous
+    extension of the data, which keeps the search inside the basin of the
+    symmetric solution whenever that is the minimizer.
     """
     fld = make_field(config.nr, config.nphi, config.c)
-    if callable(boundary):
-        data = np.asarray([boundary(p) for p in fld.phi], dtype=float)
-    else:
-        data = np.asarray(boundary, dtype=float)
+    data = np.asarray(boundary, dtype=float)
     if data.shape != (config.nphi,):
         raise GridMismatchError("boundary data length does not match the grid")
     if np.any(~np.isfinite(data)) or np.any(data < 0.0):

@@ -12,7 +12,8 @@ phi_eps = 10 * step (the cot singularity is removable only through the
 series), carry dense cubic Hermite output, and verify themselves by
 mandatory step halving.  First zeros that sit exponentially close to
 the far pole are located in the stretched variable tau = log tan(phi/2),
-where the equation becomes the smooth u'' = -lam sech(tau)^2 u.  Both
+where the equation becomes the smooth u'' = -lam sech(tau)^2 u; that
+tail is integrated once, to tau = 37, and is a straight line beyond.  Both
 charts are linear, y'' = p y' + q y, so one RK4 kernel integrates them
 from coefficient arrays (p = -cot phi, q = -lam on the angular grid;
 p = 0, q = -lam sech^2 tau on the tail) and one Hermite kernel gives
@@ -64,7 +65,9 @@ DEFAULT_STEP = 2.0**-13
 # centered-difference audit; the stretched-variable tail takes over there.
 PHI_CAP = 2.2
 _TAIL_STEP_FACTOR = 40.0
-_TAIL_PAD = 30.0
+# Far end of the tail.  Every double phi < pi has tau < 36.1, and beyond
+# 37 the curvature sech(tau)^2 < 3e-32 leaves u on its straight line.
+_TAIL_END = 37.0
 _HALVING_TOL = 1e-9
 # Steps per block of RK4 step matrices: bounds the numpy temporaries of
 # long runs (the halving check at the default step takes ~36k steps).
@@ -166,8 +169,7 @@ def _rk4_angular(lam: float, step: float, phi_max: float):
 
 def _tail_q(lam: float, tau: np.ndarray) -> np.ndarray:
     """Coefficient -lam sech(tau)^2 of the tail chart u'' = q u."""
-    # sech^2 underflows to zero long before cosh overflows at tau ~ 710
-    s = 1.0 / np.cosh(np.minimum(tau, 700.0))
+    s = 1.0 / np.cosh(tau)
     return -lam * s * s
 
 
@@ -207,9 +209,10 @@ def phi_of_tau(tau: float) -> float:
 class RadialProfile:
     """Sampled solution of the separated equation with dense output.
 
-    Values and derivatives live on the fixed-step angular grid; the
-    stretched-variable tail is grown lazily when evaluation or zero
-    finding requires angles beyond the grid.
+    Values and derivatives live on the fixed-step angular grid.  The
+    stretched-variable tail, needed by evaluation or zero finding beyond
+    the grid, is integrated on first use from the grid end to _TAIL_END
+    and kept; past its last node it is a straight line.
     """
 
     def __init__(self, beta, c, grid, values, derivs, f0, step, normalized=False):
@@ -222,9 +225,7 @@ class RadialProfile:
         self.f0 = float(f0)
         self.step = float(step)
         self.normalized = bool(normalized)
-        self._tail_tau = None
-        self._tail_u = None
-        self._tail_up = None
+        self._tail = None
         self._fpp = None
 
     # -- dense output -------------------------------------------------
@@ -235,51 +236,50 @@ class RadialProfile:
             self._fpp = -np.cos(self.grid) / np.sin(self.grid) * self.derivs - self.lam * self.values
         return self._fpp
 
-    def _tail_step(self) -> float:
-        return _TAIL_STEP_FACTOR * self.step
-
-    def ensure_tail(self, tau_target: float) -> None:
-        """Extend the stretched-variable tail at least to tau_target."""
-        if self._tail_tau is None:
+    def _tail_nodes(self):
+        """(tau, u, du/dtau, d2u/dtau2) at the tail nodes, grid end to _TAIL_END."""
+        if self._tail is None:
             phi = float(self.grid[-1])
-            self._tail_tau = np.array([tau_of_phi(phi)])
-            self._tail_u = self.values[-1:].copy()
-            self._tail_up = np.array([float(self.derivs[-1]) * math.sin(phi)])
-        h = self._tail_step()
-        # the first piece reaches past the grid end even for targets short of it
-        while self._tail_tau.size == 1 or self._tail_tau[-1] < tau_target:
-            tau0 = float(self._tail_tau[-1])
-            n = max(8, int(math.ceil((max(tau_target, tau0) - tau0 + _TAIL_PAD) / h)))
+            tau0 = tau_of_phi(phi)
+            h = _TAIL_STEP_FACTOR * self.step
+            n = math.ceil((_TAIL_END - tau0) / h)
             q = _tail_q(self.lam, tau0 + 0.5 * h * np.arange(2 * n + 1))
-            u, up = _rk4(self._tail_u[-1], self._tail_up[-1], h, 0.0, q)
-            self._tail_tau = np.concatenate([self._tail_tau, tau0 + h * np.arange(1, n + 1)])
-            self._tail_u = np.concatenate([self._tail_u, u[1:]])
-            self._tail_up = np.concatenate([self._tail_up, up[1:]])
+            u, up = _rk4(self.values[-1], self.derivs[-1] * math.sin(phi), h, 0.0, q)
+            self._set_tail(tau0 + h * np.arange(n + 1), u, up)
+        return self._tail
+
+    def _set_tail(self, tau, u, up):
+        # u'' = q u is formed from the stored u, a rescaled one included
+        self._tail =(tau, u, up, _tail_q(self.lam, tau) * u)
 
     def _tail_sample(self, taus):
         """(u, du/dtau) at stretched coordinates beyond the grid end, scalar or array."""
-        self.ensure_tail(np.max(taus))
-        tt = self._tail_tau
+        tt, u, up, upp = self._tail_nodes()
         # the interior nodes give the interval index clamped to the ends
         i = np.searchsorted(tt[1:-1], taus)
-        # q u only on the two nodes of each interval
-        k = [i, i + 1]
-        t, u = tt[k], self._tail_u[k]
-        return _hermite(t, u, self._tail_up[k], _tail_q(self.lam, t) * u, 0, taus)
+        fu, fup = _hermite(tt, u, up, upp, i, np.minimum(taus, tt[-1]))
+        # past the last node: the straight line u_end + u'_end (tau - tau_end)
+        return fu + up[-1] * np.maximum(taus - tt[-1], 0.0), fup
 
     def value_and_deriv_at_tau(self, tau: float):
         """Dense (f, f') at phi = phi_of_tau(tau) through the tail.
 
         tau keeps the digits that phi loses near pi, where phi may even
-        round to pi.  A tau that is not finite or lies short of the grid
-        end raises InvalidParameterError.
+        round to pi.  A tau that is not finite, lies short of the grid end
+        or overflows cosh (tau > 710.4) raises InvalidParameterError.
         """
         tau = float(tau)
-        if not (math.isfinite(tau) and tau >= tau_of_phi(self.grid[-1])):
-            raise InvalidParameterError(f"tail coordinate must be finite and beyond the grid end, got {tau}")
+        try:
+            cosh = math.cosh(tau)
+        except OverflowError:
+            cosh = math.inf
+        if not (cosh < math.inf and tau >= tau_of_phi(self.grid[-1])):
+            raise InvalidParameterError(
+                f"tail coordinate must be finite, beyond the grid end and below cosh overflow, got {tau}"
+            )
         u, up = self._tail_sample(tau)
         # f' = u' / sin(phi) with sin(phi) = sech(tau)
-        return float(u), float(up * math.cosh(tau))
+        return float(u), float(up * cosh)
 
     def value_and_deriv(self, phi: float):
         """Dense (f, f') at a single angle; see ``sample``."""
@@ -326,10 +326,9 @@ class RadialProfile:
             self.step,
             normalized=True,
         )
-        if self._tail_tau is not None:
-            out._tail_tau = self._tail_tau
-            out._tail_u = self._tail_u * factor
-            out._tail_up = self._tail_up * factor
+        if self._tail is not None:
+            tau, u, up, _ = self._tail
+            out._set_tail(tau, u * factor, up * factor)
         return out
 
     # -- serialization ----------------------------------------------------
@@ -413,42 +412,45 @@ def _bracketed_newton(fun, a, b, fa, fb, tol=1e-13, max_iter=120):
     return x
 
 
+def _hermite_root(xs, ys, ds, dds):
+    """(root, slope) of the first > 0 to <= 0 crossing of the nodes' Hermite cubic, or None."""
+    hits = np.nonzero((ys[:-1] > 0.0) & (ys[1:] <= 0.0))[0]
+    if not hits.size:
+        return None
+    i = int(hits[0])
+
+    def fun(x):
+        return _hermite(xs, ys, ds, dds, i, x)
+
+    x = _bracketed_newton(fun, xs[i], xs[i + 1], ys[i], ys[i + 1])
+    return x, fun(x)[1]
+
+
 def _locate_zero(profile: RadialProfile):
     """First zero as (phi0, tau0, deriv_at_zero); tail-aware."""
     v = profile.values
-    hits = np.nonzero((v[:-1] > 0.0) & (v[1:] <= 0.0))[0]
-    if hits.size:
-        i = int(hits[0])
-        g = profile.grid
-        fpp = profile.second_derivs()
-
-        def fun(x):
-            return _hermite(g, v, profile.derivs, fpp, i, x)
-
-        phi0 = _bracketed_newton(fun, g[i], g[i + 1], v[i], v[i + 1])
-        return phi0, tau_of_phi(phi0), fun(phi0)[1]
+    hit = _hermite_root(profile.grid, v, profile.derivs, profile.second_derivs())
+    if hit is not None:
+        phi0, slope = hit
+        return phi0, tau_of_phi(phi0), slope
     if float(v[-1]) <= 0.0:
         raise NoZeroError("profile not positive at the start of the searched range")
-    # march the stretched-variable tail; curvature dies like exp(-2 tau),
-    # after which the exact zero follows from linear extrapolation
-    profile.ensure_tail(tau_of_phi(profile.grid[-1]) + _TAIL_PAD)
-    tt, u, up = profile._tail_tau, profile._tail_u, profile._tail_up
-    hits = np.nonzero((u[:-1] > 0.0) & (u[1:] <= 0.0))[0]
-    if hits.size:
-        i = int(hits[0])
-        tau0 = float(_bracketed_newton(profile._tail_sample, tt[i], tt[i + 1], u[i], u[i + 1]))
-        return phi_of_tau(tau0), tau0, profile.value_and_deriv_at_tau(tau0)[1]
-    u_end, up_end = float(u[-1]), float(up[-1])
-    if up_end >= 0.0:
+    tt, u, up, upp = profile._tail_nodes()
+    hit = _hermite_root(tt, u, up, upp)
+    if hit is not None:
+        tau0, slope = float(hit[0]), hit[1]
+    elif up[-1] >= 0.0:
         raise NoZeroError("profile does not decay; no zero before the far pole")
-    tau0 = float(tt[-1]) - u_end / up_end
+    else:
+        # past the tail end the profile is its straight line, whose zero is exact
+        tau0, slope = float(tt[-1]) - float(u[-1]) / float(up[-1]), up[-1]
     try:
         cosh0 = math.cosh(tau0)
     except OverflowError:
         raise InvalidParameterError(
             f"first zero lies within double rounding of pi (tau0 = {tau0:.6g})"
         ) from None
-    return phi_of_tau(tau0), tau0, up_end * cosh0
+    return phi_of_tau(tau0), tau0, float(slope * cosh0)
 
 
 def first_zero(profile: RadialProfile) -> float:
@@ -511,7 +513,7 @@ def beta_half_profile(c, step=DEFAULT_STEP) -> RadialProfile:
     """Comparison profile with exponent -1/2, positive and nondecreasing.
 
     Positivity and monotonicity are audited on the angular grid and on
-    the stretched-variable tail out to the equivalent of pi - 10*step.
+    the whole stretched-variable tail.
     """
     c = float(c)
     prof = integrate_profile(-0.5, c, _phi_max(step), step=step)
@@ -519,9 +521,7 @@ def beta_half_profile(c, step=DEFAULT_STEP) -> RadialProfile:
         raise PropertyViolationError("comparison profile lost positivity on the grid")
     if np.any(prof.derivs < -1e-12):
         raise PropertyViolationError("comparison profile lost monotonicity on the grid")
-    tau_audit = tau_of_phi(math.pi - 10.0 * step)
-    prof.ensure_tail(tau_audit)
-    keep = prof._tail_tau <= tau_audit + prof._tail_step()
-    if np.any(prof._tail_u[keep] <= 0.0) or np.any(prof._tail_up[keep] < -1e-12):
+    _, u, up, _ = prof._tail_nodes()
+    if np.any(u <= 0.0) or np.any(up < -1e-12):
         raise PropertyViolationError("comparison profile lost positivity or monotonicity near the far pole")
     return prof

@@ -97,6 +97,11 @@ class TestDecomposition:
         assert rep.decomposition_margin < -1e-3
         assert rep.certified
 
+    def test_mismatched_solution_rejected(self, sol03):
+        # a report labelled c = 0.02 must not be built from the c = 0.3 profile
+        with pytest.raises(InvalidParameterError, match="slope"):
+            audit_pair(0.02, 16.0, sol=sol03)
+
     def test_vanishing_slope_kills_third_term(self):
         phi = np.linspace(0.3, 1.2, 50)
         _, _, t3 = decomposition_terms(np.ones_like(phi), np.zeros_like(phi), phi, 0.1, 16.0)
@@ -201,6 +206,11 @@ class TestSupersolutionLift:
     def test_pasting_angle_validated(self, sol002):
         with pytest.raises(InvalidParameterError):
             supersolution_lift_check(BarrierConfig(c=0.02, M=16.0, phi2=1.0), sol=sol002)
+
+    def test_mismatched_solution_rejected(self, sol03):
+        cfg = BarrierConfig(c=0.02, M=16.0, phi2=sol03.phi0 + 0.1)
+        with pytest.raises(InvalidParameterError, match="slope"):
+            supersolution_lift_check(cfg, nr=64, nphi=64, sol=sol03)
 
     def test_plane_audit_matches_edge_loop(self):
         # the per-edge loop the vectorized audit replaced, kept as its reference

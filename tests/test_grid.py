@@ -184,17 +184,6 @@ class TestFieldFromSolution:
 
 
 class TestFieldValidation:
-    def test_negative_values_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            make_field(8, 8, 0.0, values=-np.ones((8, 8)))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_nonfinite_values_rejected(self, bad):
-        values = np.ones((8, 8))
-        values[2, 5] = bad
-        with pytest.raises(InvalidParameterError):
-            make_field(8, 8, 0.0, values=values)
-
     def test_tiny_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
             make_field(2, 8, 0.0)

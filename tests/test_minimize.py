@@ -51,7 +51,7 @@ class TestEnergy:
 class TestMinimize:
     def test_flat_recovers_half_space(self):
         cfg = MinimizeConfig(c=0.0, nr=48, nphi=48)
-        res = minimize(cfg, lambda p: max(math.cos(p), 0.0))
+        res = minimize(cfg, np.clip(np.cos(np.linspace(0.0, math.pi, 48)), 0.0, None))
         f = make_field(48, 48, 0.0)
         f.values = np.clip(np.outer(f.r, np.cos(f.phi)), 0.0, None)
         h = math.pi / 48.0
@@ -69,7 +69,7 @@ class TestMinimize:
 
     def test_descent_moves_nonharmonic_data(self):
         cfg = MinimizeConfig(c=0.0, nr=48, nphi=48)
-        res = minimize(cfg, lambda p: 0.4 + 0.3 * math.sin(p) ** 2)
+        res = minimize(cfg, 0.4 + 0.3 * np.sin(np.linspace(0.0, math.pi, 48)) ** 2)
         assert res.outer_energies[-1] < res.outer_energies[0] - 1e-3
 
     def test_large_slope_beats_symmetric_candidate(self):

@@ -130,13 +130,42 @@ class TestIntegrateProfile:
         with pytest.raises(InvalidParameterError, match="finite and >= 0"):
             p.value_and_deriv(phi)
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, -3.0])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -3.0, 1000.0])
     def test_bad_tail_coordinates_rejected(self, tau):
-        # -3.0 lies short of the tail, which starts at log tan(1.1) = 0.675
+        # -3.0 lies short of the tail, which starts at log tan(1.1) = 0.675;
+        # cosh(1000.0) overflows
         p = integrate_profile(-0.5, 0.3, 2.2, step=1e-3)
-        p.ensure_tail(5.0)
+        p.value_and_deriv_at_tau(5.0)
         with pytest.raises(InvalidParameterError, match="beyond the grid end"):
             p.value_and_deriv_at_tau(tau)
+
+    def test_tail_built_once(self):
+        # the tail runs from the grid end to _TAIL_END whatever is asked of it
+        p = integrate_profile(-0.5, 0.3, 2.2)
+        p.value_and_deriv_at_tau(5.0)
+        tau = p._tail[0]
+        h = 40.0 * DEFAULT_STEP
+        assert tau.size == math.ceil((ode._TAIL_END - ode.tau_of_phi(2.2)) / h) + 1
+        assert ode._TAIL_END <= tau[-1] < ode._TAIL_END + h
+        p.value_and_deriv_at_tau(700.0)
+        p.sample([math.pi - 1e-15])
+        assert p._tail[0] is tau
+
+    @pytest.mark.parametrize("beta,c", [(-0.5, 0.3), (1.0, 3.0)])
+    def test_straight_line_past_the_tail_end(self, beta, c):
+        # reference: the scalar RK4 march of u'' = -lam sech^2(tau) u from
+        # the grid end to tau ~ 100, far past the tail end
+        p = integrate_profile(beta, c, 2.2, step=1e-3)
+        phi = float(p.grid[-1])
+        tau0 = ode.tau_of_phi(phi)
+        h = 40.0 * p.step
+        n = math.ceil((100.0 - tau0) / h)
+        q = [-p.lam / math.cosh(tau0 + 0.5 * h * k) ** 2 for k in range(2 * n + 1)]
+        ys, yps = scalar_rk4(float(p.values[-1]), float(p.derivs[-1]) * math.sin(phi), h, [0.0] * len(q), q)
+        tau = tau0 + n * h
+        f, fp = p.value_and_deriv_at_tau(tau)
+        assert abs(f - ys[-1]) <= 1e-12 * abs(ys[-1])
+        assert abs(fp - yps[-1] * math.cosh(tau)) <= 1e-12 * abs(yps[-1] * math.cosh(tau))
 
     def test_angle_at_pi_rejected(self):
         p = integrate_profile(1.0, 0.3, 2.2, step=1e-3)

@@ -43,8 +43,16 @@ class TestStabilityMargin:
 
     @pytest.mark.parametrize(
         "c,margin",
-        # evaluated at phi0 rather than tau0, which agrees to 1.5e-10 here
-        [(2.0, -2.3075756602338435), (5.0, -587.8775496626289), (10.0, -84724406672.2345)],
+        # c = 2, 5, 10 evaluated at phi0 rather than tau0, which agrees to
+        # 1.5e-10 there; at c = 20 and 40, tau0 (101 and 401) lies past the
+        # tail end, and the anchors come from a tail marched out to tau0 + 30
+        [
+            (2.0, -2.3075756602338435),
+            (5.0, -587.8775496626289),
+            (10.0, -84724406672.2345),
+            (20.0, -3.1914951885496933e43),
+            (40.0, -6.21315465887955e173),
+        ],
     )
     def test_margin_beyond_the_grid_from_tau0(self, c, margin):
         rep = stability_margin(c)
