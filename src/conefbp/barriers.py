@@ -373,7 +373,9 @@ def hessian_gradient_inequality(fn, points) -> float:
     maps an (N, 3) array of unit vectors to N values; the inequality
     holds pointwise for every such extension.  Derivatives at the rows
     of the (N, 3) array points come from the 19-point central stencil at
-    steps 1e-4 and 5e-5, Richardson-extrapolated: 38 calls to fn.
+    steps 1e-3 and 5e-4, Richardson-extrapolated: 38 calls to fn.  At
+    these steps the O(h^4) truncation and the rounding of the second
+    differences (1e-16 / h^2) both stay near 1e-9 on unit-size data.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != 3:
@@ -388,7 +390,7 @@ def hessian_gradient_inequality(fn, points) -> float:
         return vals
 
     grads, hessians = [], []
-    for h in (1e-4, 5e-5):
+    for h in (1e-3, 5e-4):
         e = h * np.eye(3)
         centre = u(x)
         plus = [u(x + d) for d in e]

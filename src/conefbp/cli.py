@@ -26,7 +26,7 @@ from .errors import ConvergenceFailureError, InvalidParameterError
 from .geometry import is_minimizing, morgan_threshold
 from .grid import field_from_solution, make_field, save_field_text
 from .minimize import MinimizeConfig, compare_to_symmetric, energy, minimize
-from .ode import DEFAULT_STEP, integrate_profile, symmetric_solution
+from .ode import DEFAULT_STEP, PHI_CAP, integrate_profile, symmetric_solution
 from .stability import find_critical_c0, stability_margin, steklov_min_quotient
 from .weiss import weiss_trace
 
@@ -348,7 +348,7 @@ _FLAGS = {
     "jobs": {"type": _positive_int, "default": min(8, os.cpu_count() or 1)},
     "plot-data": {"action": "store_true"},
     "beta": {"type": float, "default": 1.0},
-    "phi-max": {"type": float, "default": 2.2},
+    "phi-max": {"type": float, "default": PHI_CAP},
     "steklov": {"action": "store_true"},
     "lo": {"type": float, "default": 0.0},
     "hi": {"type": float, "default": 10.0},

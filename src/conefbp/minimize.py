@@ -121,11 +121,8 @@ def _smoothstep(t):
 
 
 def _smoothstep_deriv(t):
-    out = np.zeros_like(t)
-    inside = (t > 0.0) & (t < 1.0)
-    ti = t[inside]
-    out[inside] = 6.0 * ti * (1.0 - ti)
-    return out
+    t = np.clip(t, 0.0, 1.0)
+    return 6.0 * t * (1.0 - t)
 
 
 def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
@@ -189,7 +186,7 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     sharp = np.where(free, sharp, u)
     candidates = [sharp]
     positive = sharp > 0.0
-    work = fld.with_values(np.where(positive, sharp, 0.0))
+    work = fld.with_values(sharp)
     work.dirichlet = fld.dirichlet | ~positive
     try:
         replaced = dirichlet_solve(work)
@@ -204,7 +201,6 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     outer_energies.append(e_best)
 
     out_field = fld.with_values(u_best)
-    out_field.dirichlet = fld.dirichlet
     result = MinimizeResult(
         field=out_field,
         energy=e_best,
@@ -224,24 +220,21 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
 def free_boundary_angle(fld: AxisymField) -> list:
     """Per-radius first zero-crossing angle by linear interpolation, for 0.2 <= r <= 0.8.
 
-    Rows that are entirely positive or entirely zero contribute no
-    estimate.
+    Each row positive at the pole node gives the angle where it first
+    falls to zero or below, interpolated linearly from the last positive
+    node; on a nonnegative field that is the first zero node.  Rows that
+    are entirely positive or start at zero contribute no estimate.
     """
-    out = []
-    for i, rv in enumerate(fld.r):
-        if not 0.2 <= rv <= 0.8:
-            continue
-        row = fld.values[i]
-        pos = row > 0.0
-        if pos.all() or not pos.any() or not pos[0]:
-            continue
-        j = int(np.argmin(pos))  # first False
-        if j == 0:
-            continue
-        u0, u1 = row[j - 1], row[j]
-        frac = u0 / (u0 - u1) if u0 != u1 else 0.5
-        out.append((float(rv), float(fld.phi[j - 1] + frac * (fld.phi[j] - fld.phi[j - 1]))))
-    return out
+    band = (fld.r >= 0.2) & (fld.r <= 0.8)
+    rows = fld.values[band]
+    pos = rows > 0.0
+    keep = pos[:, 0] & ~pos.all(axis=1)
+    rows = rows[keep]
+    j = np.argmin(pos[keep], axis=1)  # first nonpositive node, >= 1
+    k = np.arange(len(j))
+    u0, u1 = rows[k, j - 1], rows[k, j]
+    angles = fld.phi[j - 1] + u0 / (u0 - u1) * (fld.phi[j] - fld.phi[j - 1])
+    return list(zip(fld.r[band][keep].tolist(), angles.tolist()))
 
 
 def _vertex_touch(fld: AxisymField) -> bool:

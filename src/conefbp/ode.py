@@ -9,11 +9,13 @@ requires
 with f'(0) = 0 at the pole.  Profiles are integrated by a fixed-step
 classical Runge-Kutta scheme from a second-order series start at
 phi_eps = 10 * step (the cot singularity is removable only through the
-series), carry dense cubic Hermite output, and verify themselves by
-mandatory step halving.  First zeros that sit exponentially close to
-the far pole are located in the stretched variable tau = log tan(phi/2),
-where the equation becomes the smooth u'' = -lam sech(tau)^2 u; that
-tail is integrated once, to tau = 37, and is a straight line beyond.  Both
+series; one series kernel gives both that start and the dense output
+below the first node), carry dense cubic Hermite output, and verify
+themselves by mandatory step halving.  First zeros that sit
+exponentially close to the far pole are located in the stretched
+variable tau = log tan(phi/2), where the equation becomes the smooth
+u'' = -lam sech(tau)^2 u; that tail is integrated once, to tau = 37,
+and is a straight line beyond.  Both
 charts are linear, y'' = p y' + q y, so one RK4 kernel integrates them
 from coefficient arrays (p = -cot phi, q = -lam on the angular grid;
 p = 0, q = -lam sech^2 tau on the tail) and one Hermite kernel gives
@@ -53,14 +55,14 @@ __all__ = [
     "first_zero",
     "symmetric_solution",
     "beta_half_profile",
-    "pole_series",
 ]
 
 # Power of two, so grid nodes (10+i)*step are exact doubles and the
 # centered-difference residual audit (test_residual_budget in
 # tests/test_ode.py) sees an exactly uniform grid.
 DEFAULT_STEP = 2.0**-13
-# Default far end of the angular grid.  Beyond this angle profiles with a
+# Far end of the angular grid of the symmetric solution and the comparison
+# profile, and the CLI's default.  Beyond this angle profiles with a
 # logarithmic branch at phi = pi lose the 1e-8 residual budget of the
 # centered-difference audit; the stretched-variable tail takes over there.
 PHI_CAP = 2.2
@@ -74,22 +76,13 @@ _HALVING_TOL = 1e-9
 _BLOCK = 2048
 
 
-def pole_series(lam: float, phi, f0: float = 1.0, order: int = 6):
-    """Series solution f = f0 (1 + a2 phi^2 + a4 phi^4 + a6 phi^6) at the pole.
+def _pole_series(lam: float, phi, f0: float = 1.0):
+    """Second-order series (f, f') = f0 (1 - lam phi^2 / 4, -lam phi / 2) at the pole.
 
-    Returns (f, f') arrays.  order selects the truncation degree (2, 4 or 6).
+    It starts the angular RK4 and gives dense output up to the first
+    grid node; phi may be a scalar or an array.
     """
-    phi = np.asarray(phi, dtype=float)
-    a2 = -lam / 4.0
-    a4 = lam * (lam - 2.0 / 3.0) / 64.0
-    a6 = (a4 * (4.0 / 3.0 - lam) + 2.0 * a2 / 45.0) / 36.0
-    coeffs = [a2, a4, a6][: order // 2]
-    f = np.ones_like(phi)
-    fp = np.zeros_like(phi)
-    for k, a in enumerate(coeffs, start=1):
-        f = f + a * phi ** (2 * k)
-        fp = fp + (2 * k) * a * phi ** (2 * k - 1)
-    return f0 * f, f0 * fp
+    return f0 * (1.0 - 0.25 * lam * phi * phi), f0 * (-0.5 * lam * phi)
 
 
 def _rk4_step(y, yp, h, p0, pm, p1, q0, qm, q1):
@@ -161,9 +154,7 @@ def _rk4_angular(lam: float, step: float, phi_max: float):
     p *= step
     np.tan(p, out=p)
     np.divide(-1.0, p, out=p)
-    y = 1.0 - 0.25 * lam * phi_eps * phi_eps
-    yp = -0.5 * lam * phi_eps
-    f, fp = _rk4(y, yp, step, p, -lam)
+    f, fp = _rk4(*_pole_series(lam, phi_eps), step, p, -lam)
     return grid, f, fp
 
 
@@ -200,10 +191,8 @@ def tau_of_phi(phi: float) -> float:
 
 
 def phi_of_tau(tau: float) -> float:
-    """Inverse of tau_of_phi, evaluated in the half nearest the relevant pole."""
-    if tau >= 0.0:
-        return math.pi - 2.0 * math.atan(math.exp(-tau))
-    return 2.0 * math.atan(math.exp(tau))
+    """Inverse of tau_of_phi for tau > 0, evaluated from the far pole."""
+    return math.pi - 2.0 * math.atan(math.exp(-tau))
 
 
 class RadialProfile:
@@ -303,7 +292,7 @@ class RadialProfile:
         f = np.empty_like(phis)
         fp = np.empty_like(phis)
         below = phis <= g[0]
-        f[below], fp[below] = pole_series(self.lam, phis[below], f0=self.f0, order=2)
+        f[below], fp[below] = _pole_series(self.lam, phis[below], self.f0)
         beyond = phis > g[-1]
         if beyond.any():
             tau = np.log(np.tan(0.5 * phis[beyond]))
@@ -484,15 +473,10 @@ class SymmetricSolution:
         return self.profile.c
 
 
-def _phi_max(step) -> float:
-    """Far end of the angular grid: PHI_CAP, or 40 steps short of pi."""
-    return min(PHI_CAP, math.pi - 40.0 * step)
-
-
 def symmetric_solution(c, step=DEFAULT_STEP) -> SymmetricSolution:
     """Build the normalized symmetric solution for slope c."""
     c = float(c)
-    prof = integrate_profile(1.0, c, _phi_max(step), step=step)
+    prof = integrate_profile(1.0, c, PHI_CAP, step=step)
     phi0, tau0, slope = _locate_zero(prof)
     scale = -1.0 / slope
     norm = prof.scaled(scale)
@@ -516,7 +500,7 @@ def beta_half_profile(c, step=DEFAULT_STEP) -> RadialProfile:
     the whole stretched-variable tail.
     """
     c = float(c)
-    prof = integrate_profile(-0.5, c, _phi_max(step), step=step)
+    prof = integrate_profile(-0.5, c, PHI_CAP, step=step)
     if np.any(prof.values <= 0.0):
         raise PropertyViolationError("comparison profile lost positivity on the grid")
     if np.any(prof.derivs < -1e-12):

@@ -71,7 +71,9 @@ def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport
     forms are algebraically equivalent.  with_steklov adds the discrete
     quotient minimum on (1/32, 32) at the default 257 x 129 grid; it
     stays None on the flat cone c = 0, whose free boundary has no mean
-    curvature to weight the quotient by.
+    curvature to weight the quotient by.  A margin that overflows, as
+    H1 g(phi0) does from c = 53.28 at step 1e-3, raises
+    InvalidParameterError.
     """
     sol = symmetric_solution(c, step=step)
     g = beta_half_profile(c, step=step)
@@ -83,6 +85,10 @@ def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport
     if gv <= 0.0:
         raise PropertyViolationError("comparison profile not positive at the free boundary angle")
     margin = gp - sol.H1 * gv
+    if not math.isfinite(margin):
+        raise InvalidParameterError(
+            f"stability margin overflows at slope c = {float(c)!r} (H1 = {sol.H1:.6g})"
+        )
     ratio = None
     if sol.t0 < -1e-8:
         ratio = -(sol.sin_phi0 / sol.t0) * (gp / gv)

@@ -14,7 +14,9 @@ fields homogeneous of degree one, non-decreasing on energy minimizers,
 and first-order neutral under radial repowerings of the symmetric
 solution.  The cell between the vertex and the first grid ring is
 accounted for by the linear-growth model (integrand proportional to
-r'^2).
+r'^2).  One array evaluator gives W at any set of radii; weiss is its
+one-element view, and the blow-up rescaling shares its row
+interpolation in r.
 """
 
 from __future__ import annotations
@@ -65,24 +67,29 @@ def _cumulative_bulk(fld: AxisymField):
 
 def weiss(fld: AxisymField, r: float) -> float:
     """Monitor value at one radius, interpolating between grid rings."""
-    return _weiss_at(fld, _cumulative_bulk(fld), r)
+    return float(_weiss_at(fld, _cumulative_bulk(fld), np.array([float(r)]))[0])
 
 
-def _weiss_at(fld: AxisymField, cum: np.ndarray, r: float) -> float:
-    """Monitor value at one radius from the field's cumulative bulk integral."""
-    r = float(r)
-    if not 2.0 * fld.r_min < r < 1.0 or r > fld.r[-1]:
-        raise InvalidParameterError(f"radius {r} outside the measurable range")
+def _rows_at(fld: AxisymField, radii: np.ndarray) -> np.ndarray:
+    """Field rows at the given radii, linear in r between grid rings and beyond the end rings."""
+    i = np.clip(np.searchsorted(fld.r, radii) - 1, 0, len(fld.r) - 2)
+    t = ((radii - fld.r[i]) / (fld.r[i + 1] - fld.r[i]))[:, None]
+    return (1.0 - t) * fld.values[i] + t * fld.values[i + 1]
+
+
+def _weiss_at(fld: AxisymField, cum: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Monitor values at an array of radii from the field's cumulative bulk integral."""
+    outside = ~((2.0 * fld.r_min < radii) & (radii < 1.0) & (radii <= fld.r[-1]))
+    if outside.any():
+        raise InvalidParameterError(f"radius {float(radii[outside][0])} outside the measurable range")
     # interpolate the scale-free density 3 cum / r^3, exact on
     # one-homogeneous fields where it is constant
-    bulk = float(np.interp(r, fld.r, 3.0 * cum / fld.r**3)) * r**3 / 3.0
-    i = min(max(int(np.searchsorted(fld.r, r)) - 1, 0), len(fld.r) - 2)
-    t = (r - fld.r[i]) / (fld.r[i + 1] - fld.r[i])
-    row = (1.0 - t) * fld.values[i] + t * fld.values[i + 1]
+    bulk = np.interp(radii, fld.r, 3.0 * cum / fld.r**3) * radii**3 / 3.0
     pw = trapezoid_weights(fld.phi)
     one = math.sqrt(1.0 + fld.c * fld.c)
-    surf = float((row**2 * np.sin(fld.phi) * pw).sum()) * r * r * 2.0 * math.pi / one
-    return bulk / r**3 - surf / r**4
+    rows = _rows_at(fld, radii)
+    surf = (rows**2 * np.sin(fld.phi) * pw).sum(axis=1) * radii * radii * 2.0 * math.pi / one
+    return bulk / radii**3 - surf / radii**4
 
 
 def weiss_trace(fld: AxisymField, num_radii: int = 16, r_lo=None, r_hi=None) -> WeissTrace:
@@ -102,8 +109,7 @@ def weiss_trace(fld: AxisymField, num_radii: int = 16, r_lo=None, r_hi=None) -> 
     if not (math.isfinite(r_lo) and math.isfinite(r_hi) and r_lo < r_hi):
         raise InvalidParameterError(f"trace radii need finite r_lo < r_hi, got {r_lo!r}, {r_hi!r}")
     radii = np.geomspace(r_lo, r_hi, num_radii)
-    cum = _cumulative_bulk(fld)
-    values = np.array([_weiss_at(fld, cum, r) for r in radii])
+    values = _weiss_at(fld, _cumulative_bulk(fld), radii)
     inc = np.diff(values)
     violation = float(min(0.0, inc.min()))
     h = max(float(np.diff(fld.r).max()), float(fld.phi[1] - fld.phi[0]))
@@ -121,9 +127,7 @@ def rescale_field(fld: AxisymField, rho: float) -> AxisymField:
         raise InvalidParameterError("rescaling factor must lie in (0, 1]")
     out = make_field(fld.shape[0], fld.shape[1], fld.c, r_min=fld.r_min)
     rs = fld.r * rho
-    vals = np.empty_like(fld.values)
-    for j in range(fld.shape[1]):
-        vals[:, j] = np.interp(rs, fld.r, fld.values[:, j], left=np.nan, right=fld.values[-1, j])
+    vals = _rows_at(fld, rs)
     below = rs < fld.r_min
     if below.any():
         slope = fld.values[0] / fld.r_min

@@ -58,6 +58,10 @@ class TestLaplacianSignAudit:
         with pytest.raises(InvalidParameterError):
             BarrierConfig(c=0.0, M=0.5)
 
+    def test_negative_slope_rejected(self):
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            BarrierConfig(c=-1.0, M=16.0)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -206,6 +210,8 @@ class TestSupersolutionLift:
     def test_pasting_angle_validated(self, sol002):
         with pytest.raises(InvalidParameterError):
             supersolution_lift_check(BarrierConfig(c=0.02, M=16.0, phi2=1.0), sol=sol002)
+        with pytest.raises(InvalidParameterError, match="phi2"):
+            supersolution_lift_check(BarrierConfig(0.1, 16.0))
 
     def test_mismatched_solution_rejected(self, sol03):
         cfg = BarrierConfig(c=0.02, M=16.0, phi2=sol03.phi0 + 0.1)
@@ -317,6 +323,15 @@ class TestHessianGradient:
         # a has unit length since the stencil's rounding grows like |a|^2
         a = np.random.default_rng(seed).normal(size=3)
         a /= np.linalg.norm(a)
+        exact = 2.0 * ((pts @ a) ** 2).min()
+        assert abs(hessian_gradient_inequality(lambda p: p @ a, pts) - exact) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_function_closed_form_raw(self, pts, seed):
+        # the same closed form with a of the normal draw's length (up to
+        # 3.3), where second differences at steps below 1e-3 carry rounding
+        # above the bound
+        a = np.random.default_rng(seed).normal(size=3)
         exact = 2.0 * ((pts @ a) ** 2).min()
         assert abs(hessian_gradient_inequality(lambda p: p @ a, pts) - exact) < 1e-6
 

@@ -91,6 +91,14 @@ class TestSingleCommands:
         payload = read_json(tmp_path / "barriers_c0.02.json")
         assert payload["lift_gradient_ok"] is True
 
+    @pytest.mark.parametrize("c,certified", [(0.02, True), (10.0, False)])
+    def test_barriers_certificate_search(self, tmp_path, c, certified):
+        assert main(["barriers", "--c", str(c), "--out", str(tmp_path)]) == 0
+        payload = read_json(tmp_path / f"barriers_c{c:g}.json")
+        assert payload["certified"] is certified
+        if certified:
+            assert payload["M"] == 16.0
+
     def test_steklov_small(self, tmp_path):
         rc = main(
             ["steklov", "--c", "0.2", "--R", "8", "--grid", "65,33", "--out", str(tmp_path)]
@@ -174,6 +182,10 @@ class TestExitCodes:
             # c * c overflows, which would make the profile equation lose lam
             ["phi0", "--c", "1e155"],
             ["stability", "--c", "1e155"],
+            # a subcommand sweep does not map, a negative count, a one-number grid
+            ["sweep", "c=0:1:2", "profile", "--jobs", "1"],
+            ["sweep", "c=0:1:-1", "phi0", "--jobs", "1"],
+            ["steklov", "--grid", "5"],
         ],
     )
     def test_non_finite_value(self, tmp_path, argv):
@@ -227,6 +239,22 @@ class TestSweep:
         rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
         assert len(rows) == 4
         assert all(row.endswith(",0,ok") for row in rows[1:])
+
+    def test_single_point_sweep(self, tmp_path):
+        rc = main(["sweep", "c=0.3:0.3:1", "phi0", "--jobs", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "sweep_phi0_c.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith("0.29999999999999999,") and rows[1].endswith(",ok")
+
+    def test_overflowing_margin_is_an_error_row(self, tmp_path):
+        # at step 1e-3 the margin at c = 53.28 overflows; 53.29 puts phi0
+        # within double rounding of pi
+        rc = main(["sweep", "c=53.26:53.29:4", "stability", "--jobs", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
+        assert [row.endswith(",ok") for row in rows[1:]] == [True, True, False, False]
+        assert "error: stability margin overflows at slope c = 53.28" in rows[3]
 
     def test_worker_count_clamped(self, monkeypatch):
         # checked without a pool: fork starts every worker up front
@@ -286,7 +314,7 @@ class TestDeterminismAndConfig:
 
     def test_config_file_defaults_and_flag_priority(self, tmp_path):
         cfg = tmp_path / "lab.cfg"
-        cfg.write_text("c = 0.4\nstep = 1e-3\n")
+        cfg.write_text("# slope and step\nc = 0.4\n\nstep = 1e-3\n")
         out1 = tmp_path / "o1"
         rc = main(["--config", str(cfg), "phi0", "--out", str(out1)])
         assert rc == 0
@@ -311,6 +339,11 @@ class TestDeterminismAndConfig:
         cfg.write_text("c = 0.3\nstep = 1e-3\nplot-data = true\n")
         assert main(["--config", str(cfg), "profile", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "profile_beta1_c0.3_plot.csv").exists()
+
+    def test_config_without_path(self, tmp_path, capsys):
+        assert main(["phi0", "--out", str(tmp_path), "--config"]) == 2
+        assert "--config needs a path" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_config_key_the_subcommand_does_not_read(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"

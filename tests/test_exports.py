@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,19 @@ def test_all_names_are_defined(name):
 def test_package_imports_are_exported(name):
     module = importlib.import_module(f"conefbp.{name}")
     assert [n for n in _package_imports(name) if n not in module.__all__] == []
+
+
+def test_imports_only_the_standard_library_and_numpy():
+    # numpy is the one dependency.  Only the modules the import adds are
+    # judged: site may already have loaded third-party modules of its own
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import conefbp, conefbp.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'numpy', 'conefbp'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

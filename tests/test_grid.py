@@ -188,6 +188,11 @@ class TestFieldValidation:
         with pytest.raises(InvalidParameterError):
             make_field(2, 8, 0.0)
 
+    @pytest.mark.parametrize("r_min", [0.0, 1.0, 1.5, math.nan])
+    def test_r_min_outside_unit_interval_rejected(self, r_min):
+        with pytest.raises(InvalidParameterError, match="r_min"):
+            make_field(8, 8, 0.0, r_min=r_min)
+
     @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
     def test_invalid_slope_rejected(self, c):
         with pytest.raises(InvalidParameterError):

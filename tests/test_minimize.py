@@ -134,6 +134,27 @@ class TestFreeBoundaryAngle:
         f.values = np.outer(f.r, np.ones_like(f.phi))
         assert free_boundary_angle(f) == []
 
+    def test_matches_row_loop(self):
+        # symmetric-solution fields and seeded random fields, each shifted
+        # down to sign-changing rows and clipped at zero, so rows cross
+        # through negative values, land on exact zeros, start at zero at
+        # the pole or stay positive
+        bases = [field_from_solution(symmetric_solution(c, step=1e-3), 48, 40) for c in (0.0, 0.1, 0.3, 2.0, 5.0)]
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            f = make_field(24, 16, 0.0)
+            f.values = rng.normal(size=f.shape) + rng.uniform(-1.0, 3.0)
+            bases.append(f)
+        estimates = 0
+        for f in bases:
+            signed = f.values - 0.05 * rng.random() * f.r[:, None]
+            for vals in (signed, np.clip(signed, 0.0, None)):
+                g = f.with_values(vals)
+                expected = _free_boundary_angle_loop(g)
+                assert free_boundary_angle(g) == expected
+                estimates += len(expected)
+        assert estimates > 0
+
     def test_minimize_output_angle(self, sol01):
         cfg = MinimizeConfig(c=0.1, nr=64, nphi=64)
         res = minimize(cfg, boundary_from_solution(sol01, 64))
@@ -153,6 +174,25 @@ class TestCompare:
         b = field_from_solution(sol03, 32, 32)
         with pytest.raises(GridMismatchError):
             compare_to_symmetric(a, reference=b)
+
+
+def _free_boundary_angle_loop(fld):
+    """Row-by-row reference: interpolated first zero crossing of each row in 0.2 <= r <= 0.8."""
+    out = []
+    for i, rv in enumerate(fld.r):
+        if not 0.2 <= rv <= 0.8:
+            continue
+        row = fld.values[i]
+        pos = row > 0.0
+        if pos.all() or not pos.any() or not pos[0]:
+            continue
+        j = int(np.argmin(pos))  # first False
+        if j == 0:
+            continue
+        u0, u1 = row[j - 1], row[j]
+        frac = u0 / (u0 - u1) if u0 != u1 else 0.5
+        out.append((float(rv), float(fld.phi[j - 1] + frac * (fld.phi[j] - fld.phi[j - 1]))))
+    return out
 
 
 def _vertex_touch_loop(fld):

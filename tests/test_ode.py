@@ -16,7 +16,6 @@ from conefbp.ode import (
     beta_half_profile,
     first_zero,
     integrate_profile,
-    pole_series,
     symmetric_solution,
 )
 
@@ -59,18 +58,19 @@ class TestIntegrateProfile:
             assert abs(fp[k] - legendre_series_deriv(lam, phi)) < 1e-9
 
     def test_series_start_consistency(self):
-        # first grid samples match the pole series to O(step^4); at the
-        # default step that truncation sits below double rounding, so the
-        # bound is the rounding floor
+        # first grid samples match the series oracle to O(step^4); at the
+        # default step the second-order start's truncation sits below
+        # double rounding, so the bound is the rounding floor
         p = integrate_profile(-0.5, 0.0, 2.0, step=DEFAULT_STEP)
-        f6, fp6 = pole_series(p.lam, p.grid[:40], order=6)
-        assert np.max(np.abs(p.values[:40] - f6)) < max(1e-12, 20.0 * DEFAULT_STEP**4)
-        assert np.max(np.abs(p.derivs[:40] - fp6)) < max(1e-12, 20.0 * DEFAULT_STEP**3)
+        fs = np.array([legendre_series(p.lam, x) for x in p.grid[:40]])
+        fps = np.array([legendre_series_deriv(p.lam, x) for x in p.grid[:40]])
+        assert np.max(np.abs(p.values[:40] - fs)) < max(1e-12, 20.0 * DEFAULT_STEP**4)
+        assert np.max(np.abs(p.derivs[:40] - fps)) < max(1e-12, 20.0 * DEFAULT_STEP**3)
         # at a coarse step the start truncation dominates: the deviation is
         # the propagated fourth-order series remainder, still O(step^4)
         coarse = integrate_profile(-0.5, 0.0, 2.0, step=1e-3)
-        f6c, _ = pole_series(coarse.lam, coarse.grid[:40], order=6)
-        assert np.max(np.abs(coarse.values[:40] - f6c)) < 1e3 * 1e-3**4 + 1e-12
+        fsc = np.array([legendre_series(coarse.lam, x) for x in coarse.grid[:40]])
+        assert np.max(np.abs(coarse.values[:40] - fsc)) < 1e3 * 1e-3**4 + 1e-12
 
     def test_step_halving_agreement(self):
         coarse = integrate_profile(1.0, 1.0, 2.2, step=DEFAULT_STEP, verify=False)
@@ -185,6 +185,11 @@ class TestIntegrateProfile:
                 integrate_profile(1.0, 0.0, phi_max, step=1e-3)
         with pytest.raises(InvalidParameterError):
             integrate_profile(1.0, -1.0, 2.0, step=1e-3)
+        with pytest.raises(InvalidParameterError, match="too short"):
+            integrate_profile(1.0, 0.0, 0.015, step=1e-3)
+        # the symmetric solution's grid ends at PHI_CAP whatever the step
+        with pytest.raises(InvalidParameterError, match="step must lie"):
+            symmetric_solution(0.3, step=math.inf)
         # c * c overflows above ~1.3e154, which would make lam = 0
         with pytest.raises(InvalidParameterError, match="overflows"):
             symmetric_solution(1e155)
@@ -321,8 +326,8 @@ class TestBetaHalfProfile:
 
     def test_series_oracle_near_pole(self):
         g = beta_half_profile(0.0)
-        f6, _ = pole_series(g.lam, g.grid[:60], order=6)
-        assert np.max(np.abs(g.values[:60] - f6)) < 1e-12
+        fs = np.array([legendre_series(g.lam, x) for x in g.grid[:60]])
+        assert np.max(np.abs(g.values[:60] - fs)) < 1e-12
 
     def test_start_slope_vanishes(self):
         for c in (0.0, 0.7):

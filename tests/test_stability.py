@@ -66,6 +66,13 @@ class TestStabilityMargin:
         assert rep.margin < 0.0
         assert not rep.stable
 
+    def test_overflowing_margin_rejected(self):
+        # at step 1e-3 the margin at c = 53.27 is still finite (-1.5e308);
+        # at 53.28, H1 = 1.7e308 times g(phi0) = 1.125 overflows
+        assert math.isfinite(stability_margin(53.27).margin)
+        with pytest.raises(InvalidParameterError, match="slope c = 53.28"):
+            stability_margin(53.28)
+
     def test_margin_and_ratio_agree(self):
         for c in (0.1, 0.4, 0.7, 2.0):
             rep = stability_margin(c)
@@ -166,6 +173,11 @@ class TestRadialWitness:
             ratios.append(rhs / lhs)
         assert all(b < a for a, b in zip(rhs_vals, rhs_vals[1:]))
         assert ratios[-1] < 1.0  # witnesses instability, upper-bounds c0
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.2), (-0.1, 0.5), (0.2, 1.5)])
+    def test_bump_interval_validated(self, a, b):
+        with pytest.raises(InvalidParameterError, match="bump interval"):
+            SmoothBump(a, b)
 
     def test_support_validation(self):
         with pytest.raises(InvalidTestFunctionError):
