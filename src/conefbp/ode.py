@@ -21,10 +21,13 @@ from coefficient arrays (p = -cot phi, q = -lam on the angular grid;
 p = 0, q = -lam sech^2 tau on the tail) and one Hermite kernel gives
 dense (value, slope) output on either.  Being linear, each RK4 step is
 a 2x2 matrix; the kernel builds the matrices with numpy in fixed blocks
-of steps and applies them in order in a plain-float loop.  Dense output
-in phi has one array evaluator, RadialProfile.sample, for angles in
-[0, pi): pole series up to the first node, grid Hermite, and the tau
-tail beyond the grid end; its scalar forms are views of it.
+of steps.  Stored runs apply them in order in a plain-float loop, so
+their values keep their bits.  The step-halving rerun is only compared
+at the grid nodes: it multiplies its half steps in pairs and applies
+the pairs by a two-level prefix product in numpy.  Dense output in phi
+has one array evaluator, RadialProfile.sample, for angles in [0, pi):
+pole series up to the first node, grid Hermite, and the tau tail beyond
+the grid end; its scalar forms are views of it.
 
 The module produces the normalized symmetric solution (beta = 1 profile
 rescaled to unit slope at its first zero) and the beta = -1/2 comparison
@@ -74,6 +77,8 @@ _HALVING_TOL = 1e-9
 # Steps per block of RK4 step matrices: bounds the numpy temporaries of
 # long runs (the halving check at the default step takes ~36k steps).
 _BLOCK = 2048
+# Matrices per block of the prefix product in _apply.
+_SPAN = 8
 
 
 def _pole_series(lam: float, phi, f0: float = 1.0):
@@ -102,20 +107,35 @@ def _rk4_step(y, yp, h, p0, pm, p1, q0, qm, q1):
     return y + h6 * (yp + 2.0 * (p2 + p3) + p4), yp + h6 * (l1 + 2.0 * (l2 + l3) + l4)
 
 
+def _step_matrices(h, p, q):
+    """RK4 step matrices [[a, b], [c, d]] of y'' = p y' + q y, as rows ((a, b), (c, d)).
+
+    p and q hold the coefficients at the 2k+1 half-step nodes of k steps,
+    or one of them is a scalar.  Both columns come from one step applied
+    to the stacked unit vectors (1, 0) and (0, 1); each row is (2, k).
+    """
+    y, yp = np.eye(2)[:, :, None]
+    thirds = [(x, x, x) if np.ndim(x) == 0 else (x[:-1:2], x[1::2], x[2::2]) for x in (p, q)]
+    return _rk4_step(y, yp, h, *thirds[0], *thirds[1])
+
+
 def _rk4(y, yp, h, p, q):
     """Classical RK4 for y'' = p y' + q y from (y, yp) in steps of h.
 
-    p and q are arrays (or scalars) of the coefficients at the half-step
-    nodes x0, x0 + h/2, x0 + h, ...; 2n+1 coefficients give n steps.
-    RK4 is linear in (y, y'), so each step is a 2x2 matrix of h and the
-    coefficients at its three half-nodes.  For each block of _BLOCK
-    steps, numpy builds the matrices at once (their columns are the step
-    applied to (1, 0) and (0, 1)) and a plain-float loop applies them in
-    order.  Returns (y, y') at the n+1 step nodes, starting with the
-    initial data.
+    p and q are arrays of the coefficients at the half-step nodes x0,
+    x0 + h/2, x0 + h, ... (2n+1 of them give n steps), or one of them is
+    a scalar.  RK4 is linear in (y, y'), so each step is a 2x2 matrix of
+    h and the coefficients at its three half-nodes.  For each block of
+    _BLOCK steps, numpy builds the matrices at once and a plain-float loop
+    applies them in order.  Every stored run (the angular grid, the tau
+    tail) takes this path, so its values keep their bits: regrouping the
+    products moves them (through _apply, the symmetric solutions at 201
+    slopes in [0, 10] moved phi0 by up to 5.6e-13 and H1 by up to 6e-3
+    relative where phi0 nears pi).  The step-halving rerun is only
+    compared, and takes the faster _rk4_halved.  Returns
+    (y, y') at the n+1 step nodes, starting with the initial data.
     """
-    p, q = np.broadcast_arrays(p, q)
-    n = (p.size - 1) // 2
+    n = (max(np.size(p), np.size(q)) - 1) // 2
     ys = np.empty(n + 1)
     yps = np.empty(n + 1)
     y, yp = float(y), float(yp)
@@ -123,10 +143,8 @@ def _rk4(y, yp, h, p, q):
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         # the 2(e - s) + 1 half-nodes of the block, shared at its ends
-        pb, qb = p[2 * s : 2 * e + 1], q[2 * s : 2 * e + 1]
-        coeffs = (pb[:-1:2], pb[1::2], pb[2::2], qb[:-1:2], qb[1::2], qb[2::2])
-        a, c = _rk4_step(1.0, 0.0, h, *coeffs)
-        b, d = _rk4_step(0.0, 1.0, h, *coeffs)
+        nodes = slice(2 * s, 2 * e + 1)
+        (a, b), (c, d) = _step_matrices(h, *(x if np.ndim(x) == 0 else x[nodes] for x in (p, q)))
         out_y = []
         out_yp = []
         # memoryviews hand out Python floats without a list of them
@@ -139,23 +157,96 @@ def _rk4(y, yp, h, p, q):
     return ys, yps
 
 
-def _rk4_angular(lam: float, step: float, phi_max: float):
-    """RK4 for f'' = -cot(phi) f' - lam f on [10*step, phi_max] with the series start."""
-    phi_eps = 10.0 * step
-    n = int((phi_max - phi_eps) / step + 1e-9)
+def _apply(e, y, yp):
+    """States after each of the 2x2 matrices I + e[:, :, k], applied in turn to (y, yp).
+
+    The matrices are given by their deviation e from the identity: a
+    product of entries near 1 drops its second-order term, always below
+    half an ulp, so full entries bias every product by about one ulp.
+    A two-level prefix product (Blelloch, CMU-CS-90-190): the m matrices
+    are cut into blocks of _SPAN, and numpy forms the running products
+    inside all blocks at once.  A plain-float loop carries the state
+    across the block ends, and one broadcast applies each running product
+    to its block's entry state.  Returns an array (2, m) of (y, y').
+    """
+    m = e.shape[-1]
+    nb = -(-m // _SPAN)
+    # identities (e = 0) pad the last block; matrix k moves to r[k % _SPAN, :, :, k // _SPAN]
+    r = np.zeros((2, 2, nb * _SPAN))
+    r[..., :m] = e
+    r = np.ascontiguousarray(r.reshape(2, 2, nb, _SPAN).transpose(3, 0, 1, 2))
+    t0 = np.empty((2, 2, nb))
+    t1 = np.empty((2, 2, nb))
+    for ei, ri in zip(r[1:], r[:-1]):
+        # (I + e)(I + r) = I + e + r + e r, row j of e r being e[j, 0] r[0] + e[j, 1] r[1]
+        np.multiply(ei[:, :1], ri[0], out=t0)
+        np.multiply(ei[:, 1:], ri[1], out=t1)
+        t0 += t1
+        t0 += ri
+        ei += t0
+    ys = []
+    yps = []
+    y, yp = float(y), float(yp)
+    for a, b, c, d in zip(*r[-1].reshape(4, nb).tolist()):
+        ys.append(y)
+        yps.append(yp)
+        y, yp = y + (a * y + b * yp), yp + (c * y + d * yp)
+    s = np.array((ys, yps))
+    return (s + (r[:, :, 0] * s[0] + r[:, :, 1] * s[1])).transpose(1, 2, 0).reshape(2, -1)[:, :m]
+
+
+def _angular_steps(step: float, phi_max: float) -> int:
+    """Number of steps on [10*step, phi_max]."""
+    n = int((phi_max - 10.0 * step) / step + 1e-9)
     if n < 8:
         raise InvalidParameterError("angular range too short for the requested step")
-    # nodes as integer multiples of the step: exact when step is a power of two
-    grid = step * np.arange(10, 11 + n)
-    # -cot at the half-nodes (10 + k/2) step, built in place: one array of 2n+1
-    p = np.arange(2 * n + 1, dtype=float)
+    return n
+
+
+def _angular_p(step: float, lo: int, hi: int) -> np.ndarray:
+    """-cot at the half-nodes (10 + k/2) step for lo <= k < hi, built in place."""
+    p = np.arange(lo, hi, dtype=float)
     p *= 0.5
     p += 10.0
     p *= step
     np.tan(p, out=p)
     np.divide(-1.0, p, out=p)
-    f, fp = _rk4(*_pole_series(lam, phi_eps), step, p, -lam)
+    return p
+
+
+def _rk4_angular(lam: float, step: float, phi_max: float):
+    """RK4 for f'' = -cot(phi) f' - lam f on [10*step, phi_max] with the series start."""
+    n = _angular_steps(step, phi_max)
+    # nodes as integer multiples of the step: exact when step is a power of two
+    grid = step * np.arange(10, 11 + n)
+    f, fp = _rk4(*_pole_series(lam, 10.0 * step), step, _angular_p(step, 0, 2 * n + 1), -lam)
     return grid, f, fp
+
+
+def _rk4_halved(lam: float, step: float, phi_max: float):
+    """The run of _rk4_angular at step/2, as (f, f') at every second node.
+
+    The nodes are 5 step, 6 step, ...: the half-step matrices are
+    multiplied in pairs A_(2k+1) A_(2k), an odd last one is dropped, and
+    _apply applies the pairs.  Equal blocks of at most 4 _BLOCK half steps
+    bound the temporaries and keep the run at step 1e-3 to one block.
+    """
+    h = 0.5 * step
+    pairs = _angular_steps(h, phi_max) // 2
+    out = np.empty((2, pairs + 1))
+    out[:, 0] = _pole_series(lam, 10.0 * h)
+    blocks = -(-pairs // (2 * _BLOCK))
+    size = -(-pairs // blocks)
+    for s in range(0, pairs, size):
+        e = min(s + size, pairs)
+        # the half-step matrices 2s .. 2e - 1 as deviations from I (exact: a, d lie near 1)
+        dev = np.array(_step_matrices(h, _angular_p(h, 4 * s, 4 * e + 1), -lam))
+        dev[0, 0] -= 1.0
+        dev[1, 1] -= 1.0
+        # pair products (I + e1)(I + e0) - I = e1 + e0 + e1 e0
+        e0, e1 = dev[..., ::2], dev[..., 1::2]
+        out[:, s + 1 : e + 1] = _apply(e1 + e0 + (e1[:, :1] * e0[0] + e1[:, 1:] * e0[1]), *out[:, s])
+    return out[0], out[1]
 
 
 def _tail_q(lam: float, tau: np.ndarray) -> np.ndarray:
@@ -362,10 +453,10 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
     lam = beta * (beta + 1.0) / (1.0 + c * c)
     grid, f, fp = _rk4_angular(lam, step, phi_max)
     if verify:
-        _, f2, fp2 = _rk4_angular(lam, 0.5 * step, phi_max)
-        idx = 10 + 2 * np.arange(len(grid))
-        df = float(np.max(np.abs(f - f2[idx])))
-        dfp = float(np.max(np.abs(fp - fp2[idx])))
+        f2, fp2 = _rk4_halved(lam, step, phi_max)
+        # grid node (10 + i) step is node 5 + i of the rerun
+        df = float(np.max(np.abs(f - f2[5:])))
+        dfp = float(np.max(np.abs(fp - fp2[5:])))
         # the second-order series start truncates at 4|a4|(10 step)^3 in
         # f'; at the default step this sits below the 1e-9 budget, at
         # coarser steps it dominates the halving comparison

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,20 +81,31 @@ class TestIntegrateProfile:
         assert np.max(np.abs(coarse.derivs - fine.derivs[idx])) <= 1e-9
 
     def test_halving_guard_fires(self, monkeypatch):
-        rk4_angular = ode._rk4_angular
+        rk4_halved = ode._rk4_halved
 
         def perturbed(lam, step, phi_max):
-            grid, f, fp = rk4_angular(lam, step, phi_max)
+            f, fp = rk4_halved(lam, step, phi_max)
             # only the h/2 run moves, by ten times the halving tolerance
-            return grid, f + (1e-8 if step < DEFAULT_STEP else 0.0), fp
+            return f + 1e-8, fp
 
-        monkeypatch.setattr(ode, "_rk4_angular", perturbed)
+        monkeypatch.setattr(ode, "_rk4_halved", perturbed)
         with pytest.raises(ConvergenceFailureError) as info:
             integrate_profile(1.0, 0.3, 2.2)
         log = dict(info.value.log)
         assert set(log) == {"sup_df", "sup_dfp"}
         assert abs(log["sup_df"] - 1e-8) <= 1e-9
         assert log["sup_dfp"] <= 1e-9
+
+    def test_memory_peak_of_a_fine_profile(self):
+        # bounds the temporaries of the step-halving rerun, which
+        # symmetric_solution runs at the default step
+        tracemalloc.start()
+        try:
+            integrate_profile(1.0, 0.3, 2.2, step=2.0**-14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.4 * 2**20
 
     def test_continuity_in_slope(self):
         for beta in (1.0, -0.5):
@@ -219,6 +231,39 @@ class TestRk4Kernel:
         y0 = 1.0 - 0.25 * lam * phi_eps * phi_eps
         ys, yps = scalar_rk4(y0, -0.5 * lam * phi_eps, step, p, [-lam] * len(p))
         assert _close_to(ys, f) and _close_to(yps, fp)
+
+    @pytest.mark.parametrize("beta", [1.0, -0.5])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 7.0])
+    # even and odd half-step counts within one block at both steps, and at
+    # the default step an odd run of three blocks
+    @pytest.mark.parametrize(
+        "step,half_steps",
+        [(1e-3, 4000), (1e-3, 4001), (2.0**-13, 4000), (2.0**-13, 4001), (2.0**-13, 8 * ode._BLOCK + 11)],
+    )
+    def test_halved_run(self, beta, c, step, half_steps):
+        # the paired rerun against the scalar loop at step/2, every second node
+        lam = beta * (beta + 1.0) / (1.0 + c * c)
+        h = 0.5 * step
+        f, fp = ode._rk4_halved(lam, step, (10 + half_steps) * h)
+        assert len(f) == half_steps // 2 + 1
+        p = [-1.0 / math.tan((10.0 + 0.5 * k) * h) for k in range(2 * half_steps + 1)]
+        y0 = 1.0 - 0.25 * lam * (10.0 * h) ** 2
+        ys, yps = scalar_rk4(y0, -0.5 * lam * 10.0 * h, h, p, [-lam] * len(p))
+        assert _close_to(ys[::2], f) and _close_to(yps[::2], fp)
+
+    @pytest.mark.parametrize("m", [1, 2, ode._SPAN - 1, ode._SPAN, ode._SPAN + 1, 2 * ode._BLOCK + 5])
+    def test_prefix_product(self, m):
+        # near-identity matrices I + e against plain sequential application
+        e = 1e-3 * np.random.default_rng(m).standard_normal((2, 2, m))
+        got = ode._apply(e, 0.7, -0.4)
+        y, yp = 0.7, -0.4
+        ys, yps = [], []
+        for (a, b), (c, d) in (np.eye(2) + e.transpose(2, 0, 1)).tolist():
+            y, yp = a * y + b * yp, c * y + d * yp
+            ys.append(y)
+            yps.append(yp)
+        assert got.shape == (2, m)
+        assert _close_to(ys, got[0], rel=1e-13) and _close_to(yps, got[1], rel=1e-13)
 
     def test_tail_piece(self):
         lam = 1.0
