@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, as_count
 from .grid import dirichlet_solve, make_field
 from .ode import symmetric_solution
 
@@ -153,7 +153,7 @@ def _super_window(config: BarrierConfig, sol, num: int = 2001):
 
 
 def _check_num(num):
-    if num < 2:
+    if as_count(num, "num") < 2:
         raise InvalidParameterError(f"need at least 2 sampled angles, got num = {num}")
 
 

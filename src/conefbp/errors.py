@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+import operator
+
+import numpy as np
 
 
 class InvalidParameterError(ValueError):
@@ -40,3 +44,17 @@ class ConvergenceFailureError(RuntimeError):
         super().__init__(message)
         self.log = list(log) if log is not None else []
         self.iterate = iterate
+
+
+def as_count(value, name):
+    """``value`` as an int: ints and numpy integers pass, 4.9 or nan raise InvalidParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_finite(values, what):
+    """Raise InvalidParameterError naming ``what`` unless every entry of ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidParameterError(f"{what} must be finite")

@@ -21,6 +21,8 @@ from .errors import (
     ConvergenceFailureError,
     GridMismatchError,
     InvalidParameterError,
+    as_count,
+    require_finite,
 )
 from .quadrature import trapezoid_weights
 
@@ -68,9 +70,7 @@ class AxisymField:
 
 def make_field(nr, nphi, c, r_min=None) -> AxisymField:
     """Zero field on the uniform grid [r_min, 1] x [0, pi] for the cone of slope c >= 0."""
-    nr = int(nr)
-    nphi = int(nphi)
-    if nr < 4 or nphi < 4:
+    if as_count(nr, "nr") < 4 or as_count(nphi, "nphi") < 4:
         raise InvalidParameterError("grid needs at least 4 nodes per direction")
     c = float(c)
     if not (math.isfinite(c) and c >= 0.0):
@@ -213,8 +213,7 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
     fixed = np.asarray(field.dirichlet, dtype=bool)
     if not fixed[-1].all():
         raise InvalidParameterError("the Dirichlet mask must hold the whole row r = 1")
-    if not np.all(np.isfinite(field.values)):
-        raise InvalidParameterError("Dirichlet data and starting values must be finite")
+    require_finite(field.values, "Dirichlet data and starting values")
     wr, wp = dirichlet_edge_weights(field)
     precondition = _full_grid_inverse(wr, wp, fixed)
     if weight_scale is not None:

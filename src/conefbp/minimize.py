@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, GridMismatchError, InvalidParameterError
+from .errors import ConvergenceFailureError, GridMismatchError, InvalidParameterError, require_finite
 from .grid import (
     AxisymField,
     dirichlet_edge_weights,
@@ -112,6 +112,7 @@ def _energy(u, wr, wp, cells, eps=None) -> float:
 
 def energy(fld: AxisymField) -> float:
     """Cone energy by edge-midpoint tensor quadrature, exact discrete chi."""
+    require_finite(fld.values, "field values")
     return _energy(fld.values, *_weights(fld))
 
 
@@ -225,6 +226,7 @@ def free_boundary_angle(fld: AxisymField) -> list:
     node; on a nonnegative field that is the first zero node.  Rows that
     are entirely positive or start at zero contribute no estimate.
     """
+    require_finite(fld.values, "field values")
     band = (fld.r >= 0.2) & (fld.r <= 0.8)
     rows = fld.values[band]
     pos = rows > 0.0
@@ -253,7 +255,7 @@ def compare_to_symmetric(fld: AxisymField, reference: AxisymField):
     """Sup distance, energy gap and vertex contact against the symmetric solution field."""
     if not fld.same_grid(reference):
         raise GridMismatchError("fields do not share a grid")
+    gap = energy(fld) - energy(reference)
     peak = float(reference.values.max())
     sup_distance = float(np.abs(fld.values - reference.values).max()) / peak
-    gap = energy(fld) - energy(reference)
     return sup_distance, gap, _vertex_touch(fld)

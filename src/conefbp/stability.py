@@ -8,9 +8,9 @@ infimum of the boundary Rayleigh quotient
     E(F) = int_G g^ij F_i F_j  /  int_dG H F^2 dsigma
 
 over axisymmetric F vanishing on the spherical ends of an annulus.  On a
-log-r grid the discrete quotient separates into radial modes, so its
-exact minimum (one radial eigenvalue and one angular solve) cross-checks
-the closed form.  A radial test function exhibits the loss of stability
+log-r grid the discrete quotient separates, so its exact minimum (a
+closed-form radial mode and one angular elimination) cross-checks the
+closed form.  A radial test function exhibits the loss of stability
 for large slopes, and the critical slope is bisected from the sign of
 the margin.
 """
@@ -27,8 +27,8 @@ from .errors import (
     InvalidParameterError,
     InvalidTestFunctionError,
     PropertyViolationError,
+    as_count,
 )
-from .grid import _stiffness
 from .ode import beta_half_profile, symmetric_solution
 from .quadrature import simpson_uniform, trapezoid_weights
 
@@ -94,7 +94,7 @@ def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport
         ratio = -(sol.sin_phi0 / sol.t0) * (gp / gv)
     lam = None
     if with_steklov and c > 0.0:
-        lam = steklov_min_quotient(c, 32.0, step=step)
+        lam = _annulus_quotient(sol, 32.0, 257, 129)
     return StabilityReport(
         c=float(c),
         phi0=sol.phi0,
@@ -212,24 +212,17 @@ def radial_instability_witness(c, F, step=_SWEEP_STEP):
 def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> float:
     """Minimum of the discrete boundary Rayleigh quotient on (1/R, R).
 
-    Discretizes axisymmetric fields on a grid uniform in log r (which
-    resolves the near-optimal r^(-1/2) profile with few nodes) and in
-    phi on [0, phi0], with fields vanishing at both radial ends, and
-    returns the smallest eigenvalue of A F = lambda B F, where A is the
-    metric Dirichlet form and B the free-boundary mass weighted by the
-    mean curvature.  Both are tensor products, A = K (x) D + M (x) L and
-    B = |t0| M (x) e e^T, so the problem separates (fast diagonalization,
-    Lynch, Rice & Thomas 1964): radial mode mu with K v = mu M v gives
-    lambda(mu) = 1 / (|t0| e^T (mu D + L)^-1 e), increasing in mu, and
-    the minimum is exact at the lowest radial eigenvalue mu_1.
-
-    The zero radial ends raise the lowest radial mode of F = e^(-rho/2)
-    v(rho) h(phi) from 1/4 to mu_R = 1/4 + pi^2 / (4 log^2 R).  As the
-    grid is refined the result converges to the closed form at mu_R,
-    sin(phi0) h'(phi0) / (|cos phi0| h(phi0)) with h'' + cot h' -
-    mu_R/(1+c^2) h = 0 regular at the pole, not to the R = inf ratio of
-    ``stability_margin`` (mu = 1/4); the gap to that ratio decays like
-    1/log^2 R.
+    Fields on a grid uniform in log r and in phi on [0, phi0] vanish at
+    both radial ends.  The quotient separates (fast diagonalization,
+    Lynch, Rice & Thomas 1964): its minimum is 1 / (|t0| e^T (mu D + L)^-1
+    e), with D and L the angular mass and stiffness and mu = 4 (sinh^2(h/4)
+    + sin^2(pi/(2N))) / h^2 the lowest radial eigenvalue, of the mode
+    e^(-rho/2) sin(pi i/N) on N = num_r - 1 cells of width h = 2 log R / N.
+    Eliminating mu D + L from the pole leaves the inverse of e^T (mu D +
+    L)^-1 e as its last pivot, so no matrix is built.  Refined, mu tends
+    to 1/4 + pi^2 / (4 log^2 R) and the result to the exact annulus
+    minimum, which exceeds the R = inf ratio of ``stability_margin`` by
+    O(1/log^2 R).
     """
     c = float(c)
     R = float(R)
@@ -237,23 +230,22 @@ def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> floa
         raise InvalidParameterError("boundary quotient needs finite c > 0 so the curvature is positive")
     if not (math.isfinite(R) and R >= 4.0):
         raise InvalidParameterError("annulus ratio R must be finite and at least 4")
-    if num_r < 3 or num_phi < 2:
+    if as_count(num_r, "num_r") < 3 or as_count(num_phi, "num_phi") < 2:
         raise InvalidParameterError("annulus grid needs num_r >= 3 and num_phi >= 2")
-    sol = symmetric_solution(c, step=step)
-    rho_max = math.log(R)
-    rho = np.linspace(-rho_max, rho_max, num_r)
+    return _annulus_quotient(symmetric_solution(c, step=step), R, num_r, num_phi)
+
+
+def _annulus_quotient(sol, R, num_r, num_phi) -> float:
+    """``steklov_min_quotient`` for a built solution and a checked grid."""
+    n = num_r - 1
+    h = 2.0 * math.log(R) / n
+    mu = 4.0 * (math.sinh(0.25 * h) ** 2 + math.sin(0.5 * math.pi / n) ** 2) / h**2
     phi = np.linspace(0.0, sol.phi0, num_phi)
-    # the discrete form int [F_rho^2/(1+c^2) + F_phi^2] e^rho sin(phi) has
-    # radial edge weights a_i d_j and angular edge weights m_i b_j; the
-    # free-boundary mass is |t0| m_i on the last phi column
-    a = np.exp(0.5 * (rho[1:] + rho[:-1])) / (rho[1] - rho[0])
-    d = np.sin(phi) * trapezoid_weights(phi) / (1.0 + c * c)
-    m = np.exp(rho) * trapezoid_weights(rho)
-    b = np.sin(0.5 * (phi[1:] + phi[:-1])) / (phi[1] - phi[0])
-    scale = 1.0 / np.sqrt(m[1:-1])
-    k = _stiffness(a)[1:-1, 1:-1]
-    mu1 = np.linalg.eigvalsh(scale[:, None] * k * scale[None, :])[0]
-    e_last = np.zeros(num_phi)
-    e_last[-1] = 1.0
-    h = np.linalg.solve(mu1 * np.diag(d) + _stiffness(b), e_last)
-    return float(1.0 / (abs(sol.t0) * h[-1]))
+    d = (mu * np.sin(phi) * trapezoid_weights(phi) / (1.0 + sol.c * sol.c)).tolist()
+    b = (np.sin(0.5 * (phi[1:] + phi[:-1])) / (phi[1] - phi[0])).tolist()
+    # s is each pivot less the next edge weight: the pole side in series
+    # with edge b, in parallel with the mass d_j
+    s = d[0]
+    for dj, bj in zip(d[1:], b):
+        s = dj + bj * s / (s + bj)
+    return s / abs(sol.t0)

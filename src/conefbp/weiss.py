@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, as_count, require_finite
 from .grid import AxisymField, gradient_sq_field, make_field
 from .quadrature import trapezoid_weights
 
@@ -54,6 +54,7 @@ def _shell_integrand(fld: AxisymField) -> np.ndarray:
 
 
 def _cumulative_bulk(fld: AxisymField):
+    require_finite(fld.values, "field values")
     integrand = _shell_integrand(fld)
     r = fld.r
     # factor out the exact r'^2 growth: the quadrature of q(r') d(r'^3/3)
@@ -96,18 +97,18 @@ def weiss_trace(fld: AxisymField, num_radii: int = 16, r_lo=None, r_hi=None) -> 
     """Monitor on a log-spaced radius set with monotonicity summary.
 
     The radii run from r_lo up to r_hi, which must be finite with
-    r_lo < r_hi.  monotone_violation is the most negative increment (0
+    0 < r_lo < r_hi.  monotone_violation is the most negative increment (0
     when the trace is non-decreasing); the homogeneity flag is set when
     the total variation stays within five grid spacings.
     """
-    if num_radii < 4:
+    if as_count(num_radii, "num_radii") < 4:
         raise InvalidParameterError("trace needs at least 4 radii")
     if r_lo is None:
         r_lo = max(2.5 * fld.r_min, 0.05)
     if r_hi is None:
         r_hi = 0.9
-    if not (math.isfinite(r_lo) and math.isfinite(r_hi) and r_lo < r_hi):
-        raise InvalidParameterError(f"trace radii need finite r_lo < r_hi, got {r_lo!r}, {r_hi!r}")
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi) and 0.0 < r_lo < r_hi):
+        raise InvalidParameterError(f"trace radii need finite 0 < r_lo < r_hi, got {r_lo!r}, {r_hi!r}")
     radii = np.geomspace(r_lo, r_hi, num_radii)
     values = _weiss_at(fld, _cumulative_bulk(fld), radii)
     inc = np.diff(values)
@@ -125,6 +126,7 @@ def rescale_field(fld: AxisymField, rho: float) -> AxisymField:
     rho = float(rho)
     if not 0.0 < rho <= 1.0:
         raise InvalidParameterError("rescaling factor must lie in (0, 1]")
+    require_finite(fld.values, "field values")
     out = make_field(fld.shape[0], fld.shape[1], fld.c, r_min=fld.r_min)
     rs = fld.r * rho
     vals = _rows_at(fld, rs)

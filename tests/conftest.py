@@ -60,6 +60,33 @@ def annulus_steklov_quotient(c, R):
     return math.sin(phi0) * hp / (abs(math.cos(phi0)) * h)
 
 
+def series_energy_and_weiss(c, nodes=48):
+    """Energy and Weiss monitor of the symmetric solution u = r f(phi), from the series alone.
+
+    f is the degree-one series profile scaled so that f'(phi0) = -1, the
+    free-boundary condition |grad u| = 1.  Returns (E, W): the energy on
+    the unit ball of the cone,
+
+        E = (2 pi sqrt(1+c^2)/3) [int_0^phi0 (f^2/(1+c^2) + f'^2) sin dphi + 1 - cos phi0],
+
+    with the integral by Gauss-Legendre on ``nodes`` points, and the
+    monitor W = (2 pi sqrt(1+c^2)/3)(1 - cos phi0), the same at every
+    radius: for a harmonic one-homogeneous u the Dirichlet integral
+    cancels the surface term and leaves the positivity volume.
+    """
+    one = 1.0 + c * c
+    lam = 2.0 / one
+    phi0 = series_phi0(c)
+    scale = -1.0 / legendre_series_deriv(lam, phi0)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    phi = 0.5 * phi0 * (x + 1.0)
+    f = scale * np.array([legendre_series(lam, p) for p in phi])
+    fp = scale * np.array([legendre_series_deriv(lam, p) for p in phi])
+    bulk = 0.5 * phi0 * float(np.sum(w * (f * f / one + fp * fp) * np.sin(phi)))
+    volume = 2.0 * math.pi * math.sqrt(one) / 3.0 * (1.0 - math.cos(phi0))
+    return 2.0 * math.pi * math.sqrt(one) / 3.0 * bulk + volume, volume
+
+
 def series_zero(lam, lo, hi, iters=100):
     """Bisection zero of the series solution; oracle for first_zero.
 
@@ -151,6 +178,12 @@ def sol03():
 @pytest.fixture(scope="session")
 def sol05():
     return symmetric_solution(0.5)
+
+
+@pytest.fixture(scope="session")
+def series_energy():
+    """``series_energy_and_weiss`` at c = 0.1 and 0.3, keyed by c, computed once."""
+    return {c: series_energy_and_weiss(c) for c in (0.1, 0.3)}
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,25 @@ def test_package_imports_are_exported(name):
     assert [n for n in _package_imports(name) if n not in module.__all__] == []
 
 
+def _private_imports(package_dir):
+    """``file: name`` for each underscore name a package module imports from another one."""
+    found = []
+    for path in sorted(pathlib.Path(package_dir).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("conefbp")):
+                found += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name != "__version__"
+                ]
+    return found
+
+
+def test_modules_share_only_public_names():
+    # a private helper stays inside its module; what another module needs is public
+    assert _private_imports(pathlib.Path(conefbp.__file__).parent) == []
+
+
 def test_imports_only_the_standard_library_and_numpy():
     # numpy is the one dependency.  Only the modules the import adds are
     # judged: site may already have loaded third-party modules of its own

@@ -42,6 +42,14 @@ class TestEnergy:
         assert errs[0] <= 3.0 * (math.pi / 64.0)
         assert errs[1] <= 0.75 * errs[0]
 
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    @pytest.mark.parametrize("c, sol", [(0.1, "sol01"), (0.3, "sol03")])
+    def test_symmetric_solution_matches_series_energy(self, request, series_energy, c, sol, n):
+        # first order in h = pi/n; the sign follows where phi0 falls in its cell
+        fld = field_from_solution(request.getfixturevalue(sol), n, n)
+        exact = series_energy[c][0] * (1.0 - fld.r_min**3)
+        assert abs(energy(fld) - exact) <= 1.5 * math.pi / n
+
     def test_symmetric_solution_anchor(self, sol03):
         vals = [energy(field_from_solution(sol03, n, n)) for n in (192, 384)]
         assert abs(vals[-1] - ENERGY_03_ORACLE) <= 0.02

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conefbp import stability
 from conefbp.errors import (
     InvalidBracketError,
     InvalidParameterError,
     InvalidTestFunctionError,
 )
+from conefbp.ode import symmetric_solution
 from conefbp.quadrature import simpson_uniform
 from conefbp.stability import (
     SmoothBump,
@@ -145,8 +147,6 @@ class TestRadialWitness:
         F = SmoothBump(0.2, 0.9)
         r = np.linspace(0.0, 1.0, 4097)
         int_f2 = simpson_uniform(F(r) ** 2, r[1] - r[0])
-        from conefbp.ode import symmetric_solution
-
         for c in (0.1, 0.5, 1.0, 2.0):
             sol = symmetric_solution(c, step=1e-3)
             lhs, _ = radial_instability_witness(c, F)
@@ -154,8 +154,6 @@ class TestRadialWitness:
 
     def test_normalized_surface_integral_is_slope_invariant(self):
         F = SmoothBump(0.2, 0.9)
-        from conefbp.ode import symmetric_solution
-
         vals = []
         for c in (0.1, 0.5, 1.0, 2.0):
             sol = symmetric_solution(c, step=1e-3)
@@ -260,8 +258,6 @@ class TestSteklov:
         # the discrete form assembled edge by edge on the free nodes:
         # returns (A, B, rho, phi) with the Dirichlet and boundary-mass
         # matrices restricted to the interior radii
-        from conefbp.ode import symmetric_solution
-
         sol = symmetric_solution(c, step=1e-3)
         rho = np.linspace(-math.log(R), math.log(R), num_r)
         phi = np.linspace(0.0, sol.phi0, num_phi)
@@ -311,10 +307,33 @@ class TestSteklov:
         assert q >= lam - 1e-9
         assert q > lam * (1.0 + 1e-6)  # the ramp is not the minimizer
 
-    def test_matches_dense_generalized_eigensolve(self):
-        oracle = self._dense_min_quotient(0.2, 8.0, 9, 7)
-        lam = steklov_min_quotient(0.2, 8.0, num_r=9, num_phi=7)
+    @pytest.mark.parametrize(
+        "c, R, num_r, num_phi",
+        [(0.2, 8.0, 9, 7), (0.5, 4.0, 3, 2), (2.0, 1e3, 33, 9), (10.0, 32.0, 17, 5)],
+    )
+    def test_matches_dense_generalized_eigensolve(self, c, R, num_r, num_phi):
+        oracle = self._dense_min_quotient(c, R, num_r, num_phi)
+        lam = steklov_min_quotient(c, R, num_r=num_r, num_phi=num_phi)
         assert abs(lam / oracle - 1.0) <= 1e-10, (lam, oracle)
+
+    def test_radial_grid_of_a_million_cells(self):
+        # no radial array is built: 2^20 cells cost what 256 do, and the
+        # fine radial grid leaves the angular error of 513 nodes
+        lam = steklov_min_quotient(0.2, 32.0, num_r=2**20 + 1, num_phi=513)
+        assert abs(lam - annulus_steklov_quotient(0.2, 32.0)) <= 1e-7
+
+    @pytest.mark.parametrize("c", [0.2, 1.0])
+    def test_report_reuses_its_solution(self, monkeypatch, c):
+        lam = steklov_min_quotient(c, 32.0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return symmetric_solution(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "symmetric_solution", counted)
+        assert stability_margin(c, with_steklov=True).steklov_lambda == lam
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("R", [1e3, 1e6])
     def test_large_annulus_matches_series_oracle(self, R):

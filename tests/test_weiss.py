@@ -35,6 +35,13 @@ class TestWeissValue:
         assert tr.homogeneity_flag
         assert tr.values.max() - tr.values.min() <= 1e-10
 
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    @pytest.mark.parametrize("c, sol", [(0.1, "sol01"), (0.3, "sol03")])
+    def test_symmetric_solution_matches_series_volume(self, request, series_energy, c, sol, n):
+        # W is the positivity volume (2 pi sqrt(1+c^2)/3)(1 - cos phi0) at every radius
+        tr = weiss_trace(field_from_solution(request.getfixturevalue(sol), n, n))
+        assert np.abs(tr.values - series_energy[c][1]).max() <= 2.0 * math.pi / n
+
     def test_out_of_range_radius(self):
         f = flat_half_space(32)
         with pytest.raises(InvalidParameterError):
@@ -88,7 +95,9 @@ class TestWeissTrace:
         with pytest.raises(InvalidParameterError):
             weiss_trace(f, 3)
 
-    @pytest.mark.parametrize("r_lo,r_hi", [(0.9, 0.1), (0.5, 0.5), (math.nan, 0.9), (0.1, math.inf)])
+    @pytest.mark.parametrize(
+        "r_lo,r_hi", [(0.9, 0.1), (0.5, 0.5), (math.nan, 0.9), (0.1, math.inf), (0.0, 0.5), (-1.0, 0.5)]
+    )
     def test_bounds_checked(self, sol03, r_lo, r_hi):
         f = field_from_solution(sol03, 32, 32)
         with pytest.raises(InvalidParameterError, match="r_lo < r_hi"):
