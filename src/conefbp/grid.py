@@ -75,6 +75,9 @@ def make_field(nr, nphi, c, r_min=None) -> AxisymField:
     c = float(c)
     if not (math.isfinite(c) and c >= 0.0):
         raise InvalidParameterError("cone slope c must be finite and nonnegative")
+    if math.isinf(c * c):
+        # the weights, energies and Weiss values all carry 1 + c^2
+        raise InvalidParameterError(f"cone slope squared overflows, got {c}")
     if r_min is None:
         r_min = 1.0 / nr
     if not 0.0 < r_min < 1.0:
@@ -122,15 +125,42 @@ def dirichlet_edge_weights(field: AxisymField):
     return wr, wp
 
 
-def edge_apply(u, wr, wp):
-    """Gradient of half the edge form: the conservative operator."""
-    out = np.zeros_like(u)
-    d = wr * (u[1:, :] - u[:-1, :])
-    out[1:, :] += d
-    out[:-1, :] -= d
-    e = wp * (u[:, 1:] - u[:, :-1])
-    out[:, 1:] += e
-    out[:, :-1] -= e
+def pad_phi_weights(wp):
+    """The phi-edge weights wp padded with a zero column: shape (nr, nphi), for ``edge_apply``.
+
+    Raveled, entry k weighs the pair (k, k + 1) of the flattened grid;
+    the pairs that cross from one row to the next get weight 0.
+    """
+    return np.pad(wp, ((0, 0), (0, 1)))
+
+
+def edge_apply(u, wr, wp_pad, out=None, scratch=None):
+    """Gradient of half the edge form: the conservative operator.
+
+    ``wp_pad`` comes from ``pad_phi_weights``, so the phi edges are
+    taken on the flattened array, where every operation is contiguous.
+    For finite u this is bitwise the row-by-row form: each node adds and
+    subtracts its edges in the same order, the accumulator starts at +0.0
+    and so never becomes -0.0, and the +-0 of a row-crossing pair leaves
+    it unchanged.  ``out`` (C-contiguous, shaped like u) receives the
+    result; ``scratch`` is any float array of at least u.size entries.
+    """
+    if out is None:
+        out = np.empty(u.shape)
+    if scratch is None:
+        scratch = np.empty(u.size)
+    out.fill(0.0)
+    d = scratch[: u.size - u.shape[1]].reshape(u.shape[0] - 1, u.shape[1])
+    np.subtract(u[1:], u[:-1], out=d)
+    d *= wr
+    out[1:] += d
+    out[:-1] -= d
+    uf, of = u.reshape(-1), out.reshape(-1)
+    e = scratch[: u.size - 1]
+    np.subtract(uf[1:], uf[:-1], out=e)
+    e *= wp_pad.reshape(-1)[:-1]
+    of[1:] += e
+    of[:-1] -= e
     return out
 
 
@@ -171,20 +201,19 @@ def _full_grid_inverse(wr, wp, fixed):
     the 1-D stiffness matrices of a, b and D, M the diagonals of s, m.
     With K V = M V Lambda and L W = D W N, A^-1 R = V ((V^T R W) /
     (lambda_i + nu_j)) W^T (fast diagonalization, Lynch, Rice & Thomas
-    1964).  Returns that map on full-grid arrays, followed by zeroing the
-    nodes in ``fixed`` (which hold the row r = 1).
+    1964).  Returns that map on full-grid arrays, written into z and
+    followed by zeroing the nodes in ``fixed`` (which hold the row r = 1).
     """
     a, s = wr[:, 0], wr[0] / wr[0, 0]
     m, b = wp[:, 0], wp[0] / wp[0, 0]
     lam, v = _modes(_stiffness(a)[:-1, :-1], m[:-1])
     nu, w = _modes(_stiffness(b), s)
 
-    def apply(res):
+    def apply(res, z):
         t = v.T @ res[:-1]
         t = t @ w
         t /= lam[:, None] + nu[None, :]
         t = t @ w.T
-        z = np.empty_like(res)
         np.matmul(v, t, out=z[:-1])
         z[fixed] = 0.0
         return z
@@ -224,11 +253,14 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
             raise InvalidParameterError("weight_scale factors must be finite and positive")
         wr *= scale[0]
         wp *= scale[1]
+    wp = pad_phi_weights(wp)  # rebound, so the unpadded copy is freed
+    # A p, then alpha p, then the preconditioned residual z: one buffer in turn
+    ap = np.empty(field.values.shape)
 
     def apply_a(x):
-        out = edge_apply(x, wr, wp)
-        out[fixed] = 0.0
-        return out
+        edge_apply(x, wr, wp, out=ap)
+        ap[fixed] = 0.0
+        return ap
 
     # the right-hand side -A_UF u_F scales the tolerance; the starting
     # residual b - A_UU u_U is -(A u)_U for the field u itself
@@ -237,29 +269,28 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
         return field.with_values(np.where(fixed, field.values, 0.0))
     x = field.values.copy()
     r_vec = -apply_a(x)
-    p = precondition(r_vec)
+    p = precondition(r_vec, np.empty_like(ap))
     rz = float(np.vdot(r_vec, p))
     log = []
     for it in range(_CG_MAX_ITER):
-        ap = apply_a(p)
+        apply_a(p)
         denom = float(np.vdot(p, ap))
         if not denom > 0.0:
             raise ConvergenceFailureError("conservative form lost positivity", log=log, iterate=x)
         alpha = rz / denom
-        x += alpha * p
         ap *= alpha
         r_vec -= ap
-        del ap  # ap and z go before the next products allocate
+        np.multiply(p, alpha, out=ap)
+        x += ap
         res = float(np.linalg.norm(r_vec)) / bnorm
         if it % 100 == 0 or res <= _CG_TOL:
             log.append((it, res))
         if res <= _CG_TOL:
             break
-        z = precondition(r_vec)
+        z = precondition(r_vec, ap)
         rz_new = float(np.vdot(r_vec, z))
         p *= rz_new / rz
         p += z
-        del z
         rz = rz_new
     else:
         raise ConvergenceFailureError(

@@ -32,6 +32,7 @@ from .grid import (
     edge_apply,
     edge_diag,
     make_field,
+    pad_phi_weights,
 )
 from .quadrature import trapezoid_weights
 
@@ -121,9 +122,36 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def _smoothstep_deriv(t):
-    t = np.clip(t, 0.0, 1.0)
-    return 6.0 * t * (1.0 - t)
+def _sweeps(u, eps, eta, wr2, wp2, diag_a, cells):
+    """_INNER_ITERS projected-gradient sweeps from u at ramp width eps, rows [:-1] free.
+
+    Each sweep is grad = 2 A u + 6 t (1 - t) cells / eps with t = clip(u / eps,
+    0, 1), then u <- max(u - eta grad / diag, 0), evaluated in place in
+    buffers allocated once per call, in the operation order of that
+    formula, so the bits are those of the allocating form.  wr2 and wp2
+    (padded) are the doubled edge weights, so one edge_apply gives 2 A u.
+    """
+    # Hessian diagonal bound: 2A plus the ramp curvature 6/eps^2
+    diag = 2.0 * diag_a + (6.0 / (eps * eps)) * cells
+    cells_eps = cells / eps
+    trial = u.copy()
+    free_rows = trial[:-1]
+    grad, ramp, rest = (np.empty_like(u) for _ in range(3))
+    scratch = np.empty(u.size)
+    for _ in range(_INNER_ITERS):
+        edge_apply(trial, wr2, wp2, out=grad, scratch=scratch)
+        np.divide(trial, eps, out=ramp)
+        np.clip(ramp, 0.0, 1.0, out=ramp)
+        np.subtract(1.0, ramp, out=rest)
+        ramp *= 6.0
+        ramp *= rest
+        ramp *= cells_eps
+        grad += ramp
+        grad *= eta
+        grad /= diag
+        free_rows -= grad[:-1]
+        np.maximum(free_rows, 0.0, out=free_rows)
+    return trial
 
 
 def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
@@ -144,8 +172,11 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     fld.values = np.outer(fld.r, data)
 
     wr, wp, cells = _weights(fld)
-    free = ~fld.dirichlet
+    # make_field fixes exactly the row r = 1, which _sweeps leaves alone
+    assert not fld.dirichlet[:-1].any() and fld.dirichlet[-1].all()
     diag_a = edge_diag(wr, wp, fld.values.shape)
+    # 2A by doubled weights: scaling by 2 is exact, so the bits are those of 2 * (A u)
+    wr2, wp2 = 2.0 * wr, pad_phi_weights(2.0 * wp)
     u = fld.values.copy()
     u_best = u.copy()
     e_best = _energy(u, wr, wp, cells)
@@ -154,15 +185,8 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     halvings = 0
 
     for eps in config.schedule(peak):
-        # Hessian diagonal bound: 2A plus the ramp curvature 6/eps^2
-        diag = 2.0 * diag_a + (6.0 / (eps * eps)) * cells
         while True:
-            trial = u.copy()
-            for _ in range(_INNER_ITERS):
-                grad = 2.0 * edge_apply(trial, wr, wp) + _smoothstep_deriv(trial / eps) * (
-                    cells / eps
-                )
-                trial = np.where(free, np.maximum(trial - eta * grad / diag, 0.0), trial)
+            trial = _sweeps(u, eps, eta, wr2, wp2, diag_a, cells)
             if _energy(trial, wr, wp, cells, eps) <= _energy(u, wr, wp, cells, eps) + 1e-12:
                 u = trial
                 break
@@ -183,8 +207,8 @@ def minimize(config: MinimizeConfig, boundary) -> MinimizeResult:
     # sharpening: truncate, then one harmonic replacement on the
     # positivity set; keep whichever iterate has the lowest true energy
     sharp = u.copy()
-    sharp[sharp < config.truncation(peak)] = 0.0
-    sharp = np.where(free, sharp, u)
+    rows = sharp[:-1]
+    rows[rows < config.truncation(peak)] = 0.0
     candidates = [sharp]
     positive = sharp > 0.0
     work = fld.with_values(sharp)

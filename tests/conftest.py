@@ -41,6 +41,18 @@ def legendre_series_deriv(lam, phi, terms=6000):
     return 0.5 * math.sin(phi) * total
 
 
+def edge_apply_slices(u, wr, wp):
+    """Row-by-row reference of ``grid.edge_apply``, phi edges as 2-D column slices."""
+    out = np.zeros_like(u)
+    d = wr * (u[1:, :] - u[:-1, :])
+    out[1:, :] += d
+    out[:-1, :] -= d
+    e = wp * (u[:, 1:] - u[:, :-1])
+    out[:, 1:] += e
+    out[:, :-1] -= e
+    return out
+
+
 def annulus_steklov_quotient(c, R):
     """Exact minimum of the boundary Rayleigh quotient on (1/R, R), zero radial ends.
 

@@ -9,12 +9,16 @@ from conefbp.errors import ConvergenceFailureError, GridMismatchError, InvalidPa
 from conefbp.grid import (
     dirichlet_edge_weights,
     dirichlet_solve,
+    edge_apply,
     field_from_solution,
     gradient_sq_field,
     make_field,
+    pad_phi_weights,
     save_field_text,
 )
-from conefbp.minimize import MinimizeConfig, minimize
+from conefbp.minimize import MinimizeConfig, energy, minimize
+from conefbp.weiss import weiss
+from conftest import edge_apply_slices
 
 
 class TestDirichletSolve:
@@ -139,6 +143,49 @@ class TestDirichletSolve:
         with pytest.raises(InvalidParameterError):
             dirichlet_solve(f)
 
+    @staticmethod
+    def _cg_reference(f, weight_scale=None):
+        # the CG loop with a fresh array per operation and the slice-form kernel
+        fixed = f.dirichlet
+        wr, wp = dirichlet_edge_weights(f)
+        precondition = grid._full_grid_inverse(wr, wp, fixed)
+        if weight_scale is not None:
+            wr, wp = wr * weight_scale[0], wp * weight_scale[1]
+
+        def apply_a(x):
+            return np.where(fixed, 0.0, edge_apply_slices(x, wr, wp))
+
+        bnorm = float(np.linalg.norm(apply_a(np.where(fixed, f.values, 0.0))))
+        x = f.values.copy()
+        r_vec = -apply_a(x)
+        p = precondition(r_vec, np.empty_like(r_vec))
+        rz = float(np.vdot(r_vec, p))
+        while True:
+            ap = apply_a(p)
+            alpha = rz / float(np.vdot(p, ap))
+            x = x + alpha * p
+            r_vec = r_vec - alpha * ap
+            if float(np.linalg.norm(r_vec)) / bnorm <= grid._CG_TOL:
+                return x
+            z = precondition(r_vec, np.empty_like(r_vec))
+            rz_new = float(np.vdot(r_vec, z))
+            p = (rz_new / rz) * p + z
+            rz = rz_new
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_buffered_cg_matches_allocating_reference_bitwise(self, rng, cut):
+        f = make_field(40, 36, 0.7)
+        f.values[-1] = 1.0 + rng.random(36)
+        f.dirichlet[:, 20:] = True
+        f.values[:, 20:] = rng.random((40, 16))
+        scale = None
+        if cut:
+            scale = (rng.uniform(0.5, 2.0, (39, 36)), rng.uniform(0.5, 2.0, (40, 35)))
+        got = dirichlet_solve(f, weight_scale=scale).values
+        expected = self._cg_reference(f, scale)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
     @pytest.mark.parametrize("n", [128, 256])
     def test_lift_solve_needs_few_iterations(self, monkeypatch, sol01, n):
         # Jacobi-preconditioned CG needed 571 (128^2) and 1,179 (256^2) iterations
@@ -146,6 +193,41 @@ class TestDirichletSolve:
         phi2 = audit_pair(0.1, 16.0, num=10001).phi2
         rep = supersolution_lift_check(BarrierConfig(c=0.1, M=16.0, phi2=phi2), nr=n, nphi=n, sol=sol01)
         assert rep.lift_gradient_ok
+
+
+class TestEdgeApply:
+    @pytest.mark.parametrize("nr,nphi", [(4, 4), (5, 9), (17, 6), (32, 32)])
+    def test_flat_phi_edges_match_slice_form_bitwise(self, nr, nphi):
+        # seeded fields of mixed sign with exact zeros and negative zeros,
+        # scaled weights included, with and without caller buffers
+        rng = np.random.default_rng(nr * 100 + nphi)
+        wr, wp = dirichlet_edge_weights(make_field(nr, nphi, 0.7))
+        out, scratch = np.empty((nr, nphi)), np.empty(nr * nphi + 3)
+        for k in range(50):
+            u = rng.normal(size=(nr, nphi)) * rng.choice([1e-3, 1.0, 1e3])
+            pick = rng.random((nr, nphi))
+            u[pick < 0.3] = 0.0
+            u[pick > 0.8] = -0.0
+            if k % 2:
+                u = np.clip(u, 0.0, None)
+            sr, sp = rng.uniform(0.5, 2.0, wr.shape), rng.uniform(0.5, 2.0, wp.shape)
+            expected = edge_apply_slices(u, wr * sr, wp * sp)
+            wp_pad = pad_phi_weights(wp * sp)
+            for got in (
+                edge_apply(u, wr * sr, wp_pad),
+                edge_apply(np.asfortranarray(u), wr * sr, wp_pad),
+                edge_apply(u, wr * sr, wp_pad, out=out, scratch=scratch),
+            ):
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert got is out
+
+    def test_padding_weights_the_row_crossing_pairs_zero(self):
+        wp = dirichlet_edge_weights(make_field(6, 5, 0.0))[1]
+        wp_pad = pad_phi_weights(wp)
+        assert wp_pad.shape == (6, 5)
+        assert np.array_equal(wp_pad[:, :-1], wp)
+        assert not wp_pad[:, -1].any()
 
 
 class TestGradient:
@@ -199,6 +281,32 @@ class TestFieldValidation:
             make_field(8, 8, c)
         with pytest.raises(InvalidParameterError):
             minimize(MinimizeConfig(c=c, nr=16, nphi=16), np.ones(16))
+
+    @staticmethod
+    def _with_data(c):
+        f = make_field(8, 8, c)
+        f.values = np.outer(f.r, 1.0 + np.cos(f.phi))
+        return f
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda c: energy(TestFieldValidation._with_data(c)),
+            lambda c: weiss(TestFieldValidation._with_data(c), 0.5),
+            lambda c: dirichlet_solve(TestFieldValidation._with_data(c)),
+            lambda c: minimize(MinimizeConfig(c=c, nr=8, nphi=8), np.ones(8)),
+        ],
+        ids=["energy", "weiss", "dirichlet_solve", "minimize"],
+    )
+    @pytest.mark.parametrize("c", [1.5e154, 1e200])
+    def test_slope_whose_square_overflows_rejected(self, run, c):
+        # 1 + c^2 would be inf: energies and Weiss values nan or inf, the
+        # preconditioner's eigensolver and the descent failing unrelatedly
+        with pytest.raises(InvalidParameterError, match="cone slope squared overflows"):
+            run(c)
+
+    def test_largest_slope_whose_square_is_finite_accepted(self):
+        assert make_field(8, 8, 1.3e154).c == 1.3e154
 
 
 class TestSerialization:
