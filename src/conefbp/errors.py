@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the input checks that raise them."""
 
+import math
 import operator
 
 import numpy as np
@@ -52,6 +53,17 @@ def as_count(value, name):
         return operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_slope(c):
+    """``c`` as a cone slope: a float that is finite and >= 0, with a finite square."""
+    c = float(c)
+    if not (math.isfinite(c) and c >= 0.0):
+        raise InvalidParameterError(f"cone slope must be finite and >= 0, got {c}")
+    if math.isinf(c * c):
+        # 1 + c^2 would be inf, so lam = 0 and every weight or energy carrying it is lost
+        raise InvalidParameterError(f"cone slope squared overflows, got {c}")
+    return c
 
 
 def require_finite(values, what):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, as_slope
 from .quadrature import adaptive_simpson
 
 __all__ = [
@@ -23,19 +23,12 @@ __all__ = [
 ]
 
 
-def _check_slope(c) -> float:
-    c = float(c)
-    if not math.isfinite(c) or c < 0.0:
-        raise InvalidParameterError(f"cone slope must be finite and >= 0, got {c!r}")
-    return c
-
-
 def homogeneity_exponent(c) -> float:
     """Positive root of a(a+1) = 2/(1+c^2).
 
     Lies in (0, 1] and equals 1 exactly when the cone is flat (c = 0).
     """
-    c = _check_slope(c)
+    c = as_slope(c)
     return 0.5 * (-1.0 + math.sqrt(1.0 + 8.0 / (1.0 + c * c)))
 
 
@@ -108,7 +101,7 @@ def morgan_threshold(k) -> float:
 def is_minimizing(k, c) -> bool:
     """Whether a k-plane through the vertex of the slope-c cone minimizes area."""
     k = _check_plane_dimension(k)
-    c = _check_slope(c)
+    c = as_slope(c)
     if k < 3:
         return False
     return c <= morgan_threshold(k)

@@ -22,6 +22,7 @@ from .errors import (
     GridMismatchError,
     InvalidParameterError,
     as_count,
+    as_slope,
     require_finite,
 )
 from .quadrature import trapezoid_weights
@@ -72,12 +73,7 @@ def make_field(nr, nphi, c, r_min=None) -> AxisymField:
     """Zero field on the uniform grid [r_min, 1] x [0, pi] for the cone of slope c >= 0."""
     if as_count(nr, "nr") < 4 or as_count(nphi, "nphi") < 4:
         raise InvalidParameterError("grid needs at least 4 nodes per direction")
-    c = float(c)
-    if not (math.isfinite(c) and c >= 0.0):
-        raise InvalidParameterError("cone slope c must be finite and nonnegative")
-    if math.isinf(c * c):
-        # the weights, energies and Weiss values all carry 1 + c^2
-        raise InvalidParameterError(f"cone slope squared overflows, got {c}")
+    c = as_slope(c)
     if r_min is None:
         r_min = 1.0 / nr
     if not 0.0 < r_min < 1.0:

@@ -21,10 +21,11 @@ from coefficient arrays (p = -cot phi, q = -lam on the angular grid;
 p = 0, q = -lam sech^2 tau on the tail) and one Hermite kernel gives
 dense (value, slope) output on either.  Being linear, each RK4 step is
 a 2x2 matrix; the kernel builds the matrices with numpy in fixed blocks
-of steps.  Stored runs apply them in order in a plain-float loop, so
-their values keep their bits.  The step-halving rerun is only compared
-at the grid nodes: it multiplies its half steps in pairs and applies
-the pairs by a two-level prefix product in numpy.  Dense output in phi
+of steps, as deviations from the identity, and applies each block by
+one two-level prefix product from the state the previous block left.
+The stored runs (angular grid, tau tail) apply every step; the
+step-halving rerun is only compared at the grid nodes, so it multiplies
+its half steps in pairs and applies the pairs.  Dense output in phi
 has one array evaluator, RadialProfile.sample, for angles in [0, pi):
 pole series up to the first node, grid Hermite, and the tau tail beyond
 the grid end; its scalar forms are views of it.
@@ -47,6 +48,7 @@ from .errors import (
     NoZeroError,
     PoleCollisionError,
     PropertyViolationError,
+    as_slope,
 )
 
 __all__ = [
@@ -74,8 +76,9 @@ _TAIL_STEP_FACTOR = 40.0
 # 37 the curvature sech(tau)^2 < 3e-32 leaves u on its straight line.
 _TAIL_END = 37.0
 _HALVING_TOL = 1e-9
-# Steps per block of RK4 step matrices: bounds the numpy temporaries of
-# long runs (the halving check at the default step takes ~36k steps).
+# Steps per block of RK4 step matrices in a stored run; the halving rerun
+# takes at most 4 _BLOCK half steps per block.  Bounds the numpy
+# temporaries of long runs (the rerun at the default step takes ~36k).
 _BLOCK = 2048
 # Matrices per block of the prefix product in _apply.
 _SPAN = 8
@@ -119,6 +122,17 @@ def _step_matrices(h, p, q):
     return _rk4_step(y, yp, h, *thirds[0], *thirds[1])
 
 
+def _deviations(h, p, q):
+    """The step matrices of _step_matrices minus I, as an array (2, 2, k).
+
+    Subtracting 1 from the diagonal is exact: a and d lie near 1.
+    """
+    dev = np.array(_step_matrices(h, p, q))
+    dev[0, 0] -= 1.0
+    dev[1, 1] -= 1.0
+    return dev
+
+
 def _rk4(y, yp, h, p, q):
     """Classical RK4 for y'' = p y' + q y from (y, yp) in steps of h.
 
@@ -126,35 +140,20 @@ def _rk4(y, yp, h, p, q):
     x0 + h/2, x0 + h, ... (2n+1 of them give n steps), or one of them is
     a scalar.  RK4 is linear in (y, y'), so each step is a 2x2 matrix of
     h and the coefficients at its three half-nodes.  For each block of
-    _BLOCK steps, numpy builds the matrices at once and a plain-float loop
-    applies them in order.  Every stored run (the angular grid, the tau
-    tail) takes this path, so its values keep their bits: regrouping the
-    products moves them (through _apply, the symmetric solutions at 201
-    slopes in [0, 10] moved phi0 by up to 5.6e-13 and H1 by up to 6e-3
-    relative where phi0 nears pi).  The step-halving rerun is only
-    compared, and takes the faster _rk4_halved.  Returns
-    (y, y') at the n+1 step nodes, starting with the initial data.
+    _BLOCK steps, numpy builds the matrices at once and _apply applies
+    them to the state carried from the previous block.  Returns (y, y')
+    at the n+1 step nodes, starting with the initial data.
     """
     n = (max(np.size(p), np.size(q)) - 1) // 2
-    ys = np.empty(n + 1)
-    yps = np.empty(n + 1)
-    y, yp = float(y), float(yp)
-    ys[0], yps[0] = y, yp
+    out = np.empty((2, n + 1))
+    out[:, 0] = y, yp
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         # the 2(e - s) + 1 half-nodes of the block, shared at its ends
         nodes = slice(2 * s, 2 * e + 1)
-        (a, b), (c, d) = _step_matrices(h, *(x if np.ndim(x) == 0 else x[nodes] for x in (p, q)))
-        out_y = []
-        out_yp = []
-        # memoryviews hand out Python floats without a list of them
-        for a_, b_, c_, d_ in zip(memoryview(a), memoryview(b), memoryview(c), memoryview(d)):
-            y, yp = a_ * y + b_ * yp, c_ * y + d_ * yp
-            out_y.append(y)
-            out_yp.append(yp)
-        ys[s + 1 : e + 1] = out_y
-        yps[s + 1 : e + 1] = out_yp
-    return ys, yps
+        dev = _deviations(h, *(x if np.ndim(x) == 0 else x[nodes] for x in (p, q)))
+        out[:, s + 1 : e + 1] = _apply(dev, *out[:, s])
+    return out[0], out[1]
 
 
 def _apply(e, y, yp):
@@ -239,10 +238,8 @@ def _rk4_halved(lam: float, step: float, phi_max: float):
     size = -(-pairs // blocks)
     for s in range(0, pairs, size):
         e = min(s + size, pairs)
-        # the half-step matrices 2s .. 2e - 1 as deviations from I (exact: a, d lie near 1)
-        dev = np.array(_step_matrices(h, _angular_p(h, 4 * s, 4 * e + 1), -lam))
-        dev[0, 0] -= 1.0
-        dev[1, 1] -= 1.0
+        # the half-step matrices 2s .. 2e - 1 as deviations from I
+        dev = _deviations(h, _angular_p(h, 4 * s, 4 * e + 1), -lam)
         # pair products (I + e1)(I + e0) - I = e1 + e0 + e1 e0
         e0, e1 = dev[..., ::2], dev[..., 1::2]
         out[:, s + 1 : e + 1] = _apply(e1 + e0 + (e1[:, :1] * e0[0] + e1[:, 1:] * e0[1]), *out[:, s])
@@ -434,16 +431,11 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
     ConvergenceFailureError.
     """
     beta = float(beta)
-    c = float(c)
+    c = as_slope(c)
     phi_max = float(phi_max)
     step = float(step)
     if not -1.0 <= beta <= 2.0:
         raise InvalidParameterError(f"homogeneity exponent must lie in [-1, 2], got {beta}")
-    if not (math.isfinite(c) and c >= 0.0):
-        raise InvalidParameterError(f"cone slope must be finite and >= 0, got {c}")
-    if not math.isfinite(1.0 + c * c):
-        # c * c overflows and would make lam = 0
-        raise InvalidParameterError(f"cone slope squared overflows, got {c}")
     if not math.isfinite(phi_max):
         raise InvalidParameterError(f"phi_max must be finite, got {phi_max}")
     if phi_max >= math.pi:
@@ -480,13 +472,13 @@ def _bracketed_newton(fun, a, b, fa, fb, tol=1e-13, max_iter=120):
             a, fa = x, fx
         else:
             b, fb = x, fx
-        if d != 0.0:
-            xn = x - fx / d
-        else:
+        tol_x = tol * (1.0 + abs(x))
+        xn = x - fx / d if d != 0.0 else math.nan
+        # a converged Newton step may land on a bracket end; any other step
+        # that leaves the open bracket is replaced by bisection
+        if not (abs(xn - x) <= tol_x or min(a, b) < xn < max(a, b)):
             xn = 0.5 * (a + b)
-        if not (min(a, b) < xn < max(a, b)):
-            xn = 0.5 * (a + b)
-        if abs(xn - x) <= tol * (1.0 + abs(x)):
+        if abs(xn - x) <= tol_x:
             return xn
         x = xn
     return x

@@ -45,10 +45,13 @@ class TestHomogeneityExponent:
             assert abs(a * (a + 1.0) * (1.0 + c * c) - 2.0) < 1e-12
         assert np.all((alphas > 0.0) & (alphas <= 1.0))
 
-    @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+    # 1.5e154 squared overflows, as everywhere else in the package
+    @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan, 1.5e154])
     def test_invalid_slope(self, bad):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="cone slope"):
             homogeneity_exponent(bad)
+        with pytest.raises(InvalidParameterError, match="cone slope"):
+            is_minimizing(4, bad)
 
 
 class TestCapGeometry:

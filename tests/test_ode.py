@@ -265,6 +265,26 @@ class TestRk4Kernel:
         assert got.shape == (2, m)
         assert _close_to(ys, got[0], rel=1e-13) and _close_to(yps, got[1], rel=1e-13)
 
+    @pytest.mark.parametrize("beta,c", [(1.0, 0.3), (-0.5, 1.0), (2.0, 0.0)])
+    def test_stored_run_against_extended_precision(self, beta, c):
+        # the same step matrices applied in turn in long double; the kernel
+        # must apply them about as well as rounding allows (36,034 steps)
+        step = 2.0**-14
+        lam = beta * (beta + 1.0) / (1.0 + c * c)
+        grid, f, fp = ode._rk4_angular(lam, step, 2.2)
+        n = len(grid) - 1
+        mats = ode._step_matrices(step, ode._angular_p(step, 0, 2 * n + 1), -lam)
+        (a, b), (cc, d) = ((x.astype(np.longdouble) for x in row) for row in mats)
+        y, yp = (np.longdouble(v) for v in ode._pole_series(lam, 10.0 * step))
+        ys = np.empty(n + 1, dtype=np.longdouble)
+        yps = np.empty(n + 1, dtype=np.longdouble)
+        ys[0], yps[0] = y, yp
+        for k in range(n):
+            y, yp = a[k] * y + b[k] * yp, cc[k] * y + d[k] * yp
+            ys[k + 1], yps[k + 1] = y, yp
+        assert np.max(np.abs(f - ys)) <= 5e-15 * np.max(np.abs(ys))
+        assert np.max(np.abs(fp - yps)) <= 5e-15 * np.max(np.abs(yps))
+
     def test_tail_piece(self):
         lam = 1.0
         h = 40.0 * DEFAULT_STEP
@@ -308,6 +328,22 @@ class TestFirstZero:
         assert abs(sol.phi0 - oracle) < 1e-7
         fine = symmetric_solution(c)
         assert abs(fine.phi0 - oracle) < 1e-9
+
+    @pytest.mark.parametrize("c", [0.5, 1.5, 3.0, 10.0])
+    def test_zero_location_stops_once_newton_converges(self, c, monkeypatch):
+        # on the grid (c = 0.5, 1.5) and in the tail (c = 3, 10): a Newton
+        # step that lands on a bracket end must not restart bisection
+        p = integrate_profile(1.0, c, 2.2, step=1e-3)
+        calls = []
+        hermite = ode._hermite
+
+        def counted(*args):
+            calls.append(1)
+            return hermite(*args)
+
+        monkeypatch.setattr(ode, "_hermite", counted)
+        first_zero(p)
+        assert len(calls) <= 5
 
     def test_no_zero_for_monotone_profile(self):
         g = integrate_profile(-0.5, 0.3, 2.2, step=1e-3)
