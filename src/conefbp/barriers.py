@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, as_count
+from .errors import InvalidParameterError, as_count, as_slope
 from .grid import dirichlet_solve, make_field
 from .ode import symmetric_solution
 
@@ -62,8 +62,7 @@ class BarrierConfig:
             raise InvalidParameterError("barrier parameters must be finite")
         if self.M <= 1.0:
             raise InvalidParameterError("barrier offset M must exceed 1")
-        if self.c < 0.0:
-            raise InvalidParameterError("cone slope must be nonnegative")
+        as_slope(self.c)
 
 
 @dataclass

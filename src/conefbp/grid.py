@@ -85,9 +85,9 @@ def make_field(nr, nphi, c, r_min=None) -> AxisymField:
     return AxisymField(r=r, phi=phi, values=np.zeros((nr, nphi)), c=c, dirichlet=dirichlet)
 
 
-def field_from_solution(sol, nr, nphi, r_min=None) -> AxisymField:
-    """Sample the symmetric solution r f(phi), clipped at zero, on a grid."""
-    field = make_field(nr, nphi, sol.c, r_min=r_min)
+def field_from_solution(sol, nr, nphi) -> AxisymField:
+    """Sample the symmetric solution r f(phi), clipped at zero, on make_field's grid."""
+    field = make_field(nr, nphi, sol.c)
     fvals = np.zeros_like(field.phi)
     inside = field.phi < sol.phi0
     fvals[inside] = sol.profile.sample(field.phi[inside])[0]

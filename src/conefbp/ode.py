@@ -16,16 +16,17 @@ exponentially close to the far pole are located in the stretched
 variable tau = log tan(phi/2), where the equation becomes the smooth
 u'' = -lam sech(tau)^2 u; that tail is integrated once, to tau = 37,
 and is a straight line beyond.  Both
-charts are linear, y'' = p y' + q y, so one RK4 kernel integrates them
-from coefficient arrays (p = -cot phi, q = -lam on the angular grid;
-p = 0, q = -lam sech^2 tau on the tail) and one Hermite kernel gives
-dense (value, slope) output on either.  Being linear, each RK4 step is
-a 2x2 matrix; the kernel builds the matrices with numpy in fixed blocks
-of steps, as deviations from the identity, and applies each block by
-one two-level prefix product from the state the previous block left.
-The stored runs (angular grid, tau tail) apply every step; the
-step-halving rerun is only compared at the grid nodes, so it multiplies
-its half steps in pairs and applies the pairs.  Dense output in phi
+charts are linear, y'' = p y' + q y (p = -cot phi, q = -lam on the
+angular grid; p = 0, q = -lam sech^2 tau on the tail), so one RK4
+driver integrates them and one Hermite kernel gives dense (value,
+slope) output on either.  Being linear, each RK4 step is a 2x2 matrix.
+The driver, _run, cuts a run into equal blocks of steps; for each block
+the chart builds its coefficients and, with numpy, the step matrices as
+deviations from the identity, and one two-level prefix product applies
+them from the state the previous block left.  The stored runs (angular
+grid, tau tail) apply every step; the step-halving rerun is only
+compared at the grid nodes, so its blocks multiply the half steps in
+pairs and the driver applies the pairs.  Dense output in phi
 has one array evaluator, RadialProfile.sample, for angles in [0, pi):
 pole series up to the first node, grid Hermite, and the tau tail beyond
 the grid end; its scalar forms are views of it.
@@ -76,10 +77,13 @@ _TAIL_STEP_FACTOR = 40.0
 # 37 the curvature sech(tau)^2 < 3e-32 leaves u on its straight line.
 _TAIL_END = 37.0
 _HALVING_TOL = 1e-9
-# Steps per block of RK4 step matrices in a stored run; the halving rerun
-# takes at most 4 _BLOCK half steps per block.  Bounds the numpy
-# temporaries of long runs (the rerun at the default step takes ~36k).
-_BLOCK = 2048
+# Most steps per block of RK4 step matrices in _run, a multiple of _SPAN.
+# Bounds the numpy temporaries of long runs: the stored run at the default
+# step takes ~18k steps, its halving rerun ~18k pair steps of two half
+# steps each.  A run to PHI_CAP at step 1e-3 is one block; at 4096 the
+# rerun's blocks at the default step outgrow a 2 MiB L2 cache and the
+# default-step margin slows by about 8%.
+_BLOCK = 3072
 # Matrices per block of the prefix product in _apply.
 _SPAN = 8
 
@@ -133,26 +137,24 @@ def _deviations(h, p, q):
     return dev
 
 
-def _rk4(y, yp, h, p, q):
-    """Classical RK4 for y'' = p y' + q y from (y, yp) in steps of h.
+def _run(y, yp, n, deviations):
+    """n RK4 steps of a linear chart from (y, yp); returns (y, y') at the n+1 step nodes.
 
-    p and q are arrays of the coefficients at the half-step nodes x0,
-    x0 + h/2, x0 + h, ... (2n+1 of them give n steps), or one of them is
-    a scalar.  RK4 is linear in (y, y'), so each step is a 2x2 matrix of
-    h and the coefficients at its three half-nodes.  For each block of
-    _BLOCK steps, numpy builds the matrices at once and _apply applies
-    them to the state carried from the previous block.  Returns (y, y')
-    at the n+1 step nodes, starting with the initial data.
+    deviations(s, e) gives the step matrices s .. e-1 minus I, as an
+    array (2, 2, e - s), and builds the chart's coefficients for those
+    steps only.  The steps are cut into equal blocks of at most _BLOCK,
+    each a multiple of _SPAN, and _apply applies each block from the
+    state the previous block left.  Every block thus starts on a span
+    end, where _apply's broadcast computes the same y + (a y + b y') as
+    its carry loop, so the states do not depend on the block size.
     """
-    n = (max(np.size(p), np.size(q)) - 1) // 2
     out = np.empty((2, n + 1))
     out[:, 0] = y, yp
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        # the 2(e - s) + 1 half-nodes of the block, shared at its ends
-        nodes = slice(2 * s, 2 * e + 1)
-        dev = _deviations(h, *(x if np.ndim(x) == 0 else x[nodes] for x in (p, q)))
-        out[:, s + 1 : e + 1] = _apply(dev, *out[:, s])
+    blocks = -(-n // _BLOCK)
+    size = -(-n // (blocks * _SPAN)) * _SPAN
+    for s in range(0, n, size):
+        e = min(s + size, n)
+        out[:, s + 1 : e + 1] = _apply(deviations(s, e), *out[:, s])
     return out[0], out[1]
 
 
@@ -218,32 +220,31 @@ def _rk4_angular(lam: float, step: float, phi_max: float):
     n = _angular_steps(step, phi_max)
     # nodes as integer multiples of the step: exact when step is a power of two
     grid = step * np.arange(10, 11 + n)
-    f, fp = _rk4(*_pole_series(lam, 10.0 * step), step, _angular_p(step, 0, 2 * n + 1), -lam)
+
+    def steps(s, e):
+        return _deviations(step, _angular_p(step, 2 * s, 2 * e + 1), -lam)
+
+    f, fp = _run(*_pole_series(lam, 10.0 * step), n, steps)
     return grid, f, fp
 
 
 def _rk4_halved(lam: float, step: float, phi_max: float):
     """The run of _rk4_angular at step/2, as (f, f') at every second node.
 
-    The nodes are 5 step, 6 step, ...: the half-step matrices are
-    multiplied in pairs A_(2k+1) A_(2k), an odd last one is dropped, and
-    _apply applies the pairs.  Equal blocks of at most 4 _BLOCK half steps
-    bound the temporaries and keep the run at step 1e-3 to one block.
+    The nodes are 5 step, 6 step, ...: _run applies the pair products
+    A_(2k+1) A_(2k) of the half-step matrices, and an odd last half step
+    is dropped.
     """
     h = 0.5 * step
-    pairs = _angular_steps(h, phi_max) // 2
-    out = np.empty((2, pairs + 1))
-    out[:, 0] = _pole_series(lam, 10.0 * h)
-    blocks = -(-pairs // (2 * _BLOCK))
-    size = -(-pairs // blocks)
-    for s in range(0, pairs, size):
-        e = min(s + size, pairs)
-        # the half-step matrices 2s .. 2e - 1 as deviations from I
+
+    def pairs(s, e):
+        # the half-step matrices 2s .. 2e - 1 as deviations from I, and
+        # their pair products (I + e1)(I + e0) - I = e1 + e0 + e1 e0
         dev = _deviations(h, _angular_p(h, 4 * s, 4 * e + 1), -lam)
-        # pair products (I + e1)(I + e0) - I = e1 + e0 + e1 e0
         e0, e1 = dev[..., ::2], dev[..., 1::2]
-        out[:, s + 1 : e + 1] = _apply(e1 + e0 + (e1[:, :1] * e0[0] + e1[:, 1:] * e0[1]), *out[:, s])
-    return out[0], out[1]
+        return e1 + e0 + (e1[:, :1] * e0[0] + e1[:, 1:] * e0[1])
+
+    return _run(*_pole_series(lam, 10.0 * h), _angular_steps(h, phi_max) // 2, pairs)
 
 
 def _tail_q(lam: float, tau: np.ndarray) -> np.ndarray:
@@ -320,8 +321,11 @@ class RadialProfile:
             tau0 = tau_of_phi(phi)
             h = _TAIL_STEP_FACTOR * self.step
             n = math.ceil((_TAIL_END - tau0) / h)
-            q = _tail_q(self.lam, tau0 + 0.5 * h * np.arange(2 * n + 1))
-            u, up = _rk4(self.values[-1], self.derivs[-1] * math.sin(phi), h, 0.0, q)
+
+            def steps(s, e):
+                return _deviations(h, 0.0, _tail_q(self.lam, tau0 + 0.5 * h * np.arange(2 * s, 2 * e + 1)))
+
+            u, up = _run(self.values[-1], self.derivs[-1] * math.sin(phi), n, steps)
             self._set_tail(tau0 + h * np.arange(n + 1), u, up)
         return self._tail
 
@@ -427,8 +431,11 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
     """Integrate the separated equation on [10*step, phi_max].
 
     The integration is repeated at half the step when ``verify`` is set;
-    a sup-norm disagreement above 1e-9 on shared nodes raises
-    ConvergenceFailureError.
+    a sup-norm disagreement on shared nodes above max(1e-9,
+    6 |a4| (10 step)^3), a4 = lam (lam - 2/3) / 64, raises
+    ConvergenceFailureError.  The second term is the truncation of the
+    second-order series start; for beta = 1, c = 0 it is 2.5e-7 at step
+    1e-3 and 4.5e-10, below 1e-9, at the default step.
     """
     beta = float(beta)
     c = as_slope(c)
@@ -450,8 +457,9 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
         df = float(np.max(np.abs(f - f2[5:])))
         dfp = float(np.max(np.abs(fp - fp2[5:])))
         # the second-order series start truncates at 4|a4|(10 step)^3 in
-        # f'; at the default step this sits below the 1e-9 budget, at
-        # coarser steps it dominates the halving comparison
+        # f'; at the default step this sits below the 1e-9 budget for
+        # lam < 2.7 (every beta <= 1), at coarser steps it dominates the
+        # halving comparison
         a4 = lam * (lam - 2.0 / 3.0) / 64.0
         tol = max(_HALVING_TOL, 6.0 * abs(a4) * (10.0 * step) ** 3)
         if max(df, dfp) > tol:

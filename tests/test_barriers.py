@@ -59,8 +59,15 @@ class TestLaplacianSignAudit:
             BarrierConfig(c=0.0, M=0.5)
 
     def test_negative_slope_rejected(self):
-        with pytest.raises(InvalidParameterError, match="nonnegative"):
+        with pytest.raises(InvalidParameterError, match="cone slope"):
             BarrierConfig(c=-1.0, M=16.0)
+
+    def test_overflowing_slope_rejected(self):
+        # c * c overflows, which laplacian_sign_audit would hit as a bare OverflowError
+        with pytest.raises(InvalidParameterError, match="cone slope squared overflows"):
+            BarrierConfig(c=1e200, M=16.0)
+        with pytest.raises(InvalidParameterError, match="cone slope squared overflows"):
+            audit_pair(1e200, 2.0)
 
     @pytest.mark.parametrize(
         "kwargs",

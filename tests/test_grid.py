@@ -310,8 +310,9 @@ class TestFieldValidation:
 
 
 class TestSerialization:
-    def test_text_round_trip(self, tmp_path, sol03):
-        f = field_from_solution(sol03, 24, 24, r_min=0.0731)
+    def test_text_round_trip(self, tmp_path):
+        f = make_field(24, 24, 0.3, r_min=0.0731)
+        f.values = np.random.default_rng(7).standard_normal(f.values.shape)
         path = tmp_path / "field.txt"
         save_field_text(f, path)
         header = path.read_text().splitlines()[:4]

@@ -105,7 +105,7 @@ class TestIntegrateProfile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.4 * 2**20
+        assert peak <= 3.1 * 2**20
 
     def test_continuity_in_slope(self):
         for beta in (1.0, -0.5):
@@ -220,9 +220,12 @@ class TestRk4Kernel:
     @pytest.mark.parametrize("beta", [1.0, -0.5])
     @pytest.mark.parametrize("c", [0.0, 1.0, 7.0])
     @pytest.mark.parametrize("step", [1e-3, 2.0**-13])
-    # one run inside a single block, one that ends part-way through a block
-    @pytest.mark.parametrize("n", [500, ode._BLOCK + 137])
-    def test_angular_chart(self, beta, c, step, n):
+    # at blocks of at most 1024 steps, one run inside a single block and
+    # one of three blocks, the last one partial; both stay below pi at
+    # step 1e-3
+    @pytest.mark.parametrize("n", [500, 2185])
+    def test_angular_chart(self, monkeypatch, beta, c, step, n):
+        monkeypatch.setattr(ode, "_BLOCK", 1024)
         lam = beta * (beta + 1.0) / (1.0 + c * c)
         phi_eps = 10.0 * step
         grid, f, fp = ode._rk4_angular(lam, step, (10 + n) * step)
@@ -235,10 +238,10 @@ class TestRk4Kernel:
     @pytest.mark.parametrize("beta", [1.0, -0.5])
     @pytest.mark.parametrize("c", [0.0, 1.0, 7.0])
     # even and odd half-step counts within one block at both steps, and at
-    # the default step an odd run of three blocks
+    # the default step an odd run of three blocks (8197 pair steps)
     @pytest.mark.parametrize(
         "step,half_steps",
-        [(1e-3, 4000), (1e-3, 4001), (2.0**-13, 4000), (2.0**-13, 4001), (2.0**-13, 8 * ode._BLOCK + 11)],
+        [(1e-3, 4000), (1e-3, 4001), (2.0**-13, 4000), (2.0**-13, 4001), (2.0**-13, 16395)],
     )
     def test_halved_run(self, beta, c, step, half_steps):
         # the paired rerun against the scalar loop at step/2, every second node
@@ -251,7 +254,7 @@ class TestRk4Kernel:
         ys, yps = scalar_rk4(y0, -0.5 * lam * 10.0 * h, h, p, [-lam] * len(p))
         assert _close_to(ys[::2], f) and _close_to(yps[::2], fp)
 
-    @pytest.mark.parametrize("m", [1, 2, ode._SPAN - 1, ode._SPAN, ode._SPAN + 1, 2 * ode._BLOCK + 5])
+    @pytest.mark.parametrize("m", [1, 2, ode._SPAN - 1, ode._SPAN, ode._SPAN + 1, 4101])
     def test_prefix_product(self, m):
         # near-identity matrices I + e against plain sequential application
         e = 1e-3 * np.random.default_rng(m).standard_normal((2, 2, m))
@@ -286,15 +289,29 @@ class TestRk4Kernel:
         assert np.max(np.abs(fp - yps)) <= 5e-15 * np.max(np.abs(yps))
 
     def test_tail_piece(self):
+        # the tail chart through the driver, two blocks with a partial last one
         lam = 1.0
         h = 40.0 * DEFAULT_STEP
         n = ode._BLOCK + 137
         tau = [0.5 + 0.5 * h * k for k in range(2 * n + 1)]
         q = [-lam / math.cosh(t) ** 2 for t in tau]
         ys, yps = scalar_rk4(-0.6, -0.4, h, [0.0] * len(q), q)
-        u, up = ode._rk4(-0.6, -0.4, h, 0.0, np.array(q))
+        qa = np.array(q)
+        u, up = ode._run(-0.6, -0.4, n, lambda s, e: ode._deviations(h, 0.0, qa[2 * s : 2 * e + 1]))
         assert len(u) == n + 1
         assert _close_to(ys, u) and _close_to(yps, up)
+
+    @pytest.mark.parametrize("step", [1e-3, 2.0**-13])
+    def test_runs_independent_of_block_size(self, monkeypatch, step):
+        # blocks start on span ends, so the block size moves no bit of the
+        # stored angular run, its tail or the paired halving rerun
+        runs = []
+        for block in (8, 64, ode._BLOCK):
+            monkeypatch.setattr(ode, "_BLOCK", block)
+            p = integrate_profile(-0.5, 0.3, 2.2, step=step, verify=False)
+            runs.append((p.values, p.derivs, *p._tail_nodes()[1:3], *ode._rk4_halved(p.lam, step, 2.2)))
+        for run in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
 
 
 class TestFirstZero:

@@ -1,23 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from conefbp.quadrature import (
-    adaptive_simpson,
-    simpson_uniform,
-    trapezoid_weights,
-)
-
-
-def test_adaptive_simpson_sin():
-    assert abs(adaptive_simpson(math.sin, 0.0, math.pi) - 2.0) < 1e-12
-
-
-def test_adaptive_simpson_sharp_peak():
-    val = adaptive_simpson(lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, tol=1e-10)
-    exact = 2.0 / math.sqrt(1e-4) * math.atan(1.0 / math.sqrt(1e-4))
-    assert abs(val - exact) < 1e-6 * exact
+from conefbp.quadrature import simpson_uniform, trapezoid_weights
 
 
 def test_simpson_uniform_polynomial_exact():
