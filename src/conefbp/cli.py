@@ -36,6 +36,8 @@ _SWEEP_COLUMNS = {
     "morgan": ("k", "c_threshold"),
     "minimize": ("c", "energy", "energy_gap", "fb_mean", "vertex_touch"),
 }
+# a typo in a sweep count must fail as an invalid argument, not as an allocation
+_MAX_SWEEP_POINTS = 100_000
 
 
 def _json_bytes(obj) -> bytes:
@@ -64,6 +66,8 @@ def _append_record(out_dir, command, params, outputs, wall) -> None:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return "nan"
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):
@@ -120,7 +124,7 @@ def _cmd_critical_c(args, out):
     payload = {"lo": args.lo, "hi": args.hi, "tol": args.tol, "c0": c0}
     name = "critical_c.json"
     _write_artifact(out, name, _json_bytes(payload))
-    rows = [(r.c, r.phi0, r.H1, r.margin, r.stable) for r in record]
+    rows = [_stability_row(r) for r in record]
     csv_name = "critical_c_trace.csv"
     _write_artifact(out, csv_name, _csv_bytes(_SWEEP_COLUMNS["stability"], rows))
     print(f"critical slope c0 = {c0:.8f} ({len(record)} margin evaluations)")
@@ -233,12 +237,15 @@ def _cmd_morgan(args, out):
     return payload, [name]
 
 
+def _stability_row(rep):
+    return tuple(getattr(rep, col) for col in _SWEEP_COLUMNS["stability"])
+
+
 def _sweep_point(task):
     name, value, args_dict = task
     try:
         if name == "stability":
-            rep = stability_margin(value, step=args_dict["step"])
-            return ("ok", (value, rep.phi0, rep.H1, rep.margin, rep.stable))
+            return ("ok", _stability_row(stability_margin(value, step=args_dict["step"])))
         if name == "phi0":
             sol = symmetric_solution(value, step=args_dict["step"])
             return ("ok", (value, sol.phi0))
@@ -251,13 +258,14 @@ def _sweep_point(task):
         return (f"error: {exc}", None)
 
 
-def _worker_count(jobs, num_tasks) -> int:
-    """Sweep processes to start: at most one per task and per CPU.
+def _worker_count(num_tasks) -> int:
+    """Sweep processes to start: at most one per task and per CPU, and 8.
 
-    Under the fork start method the pool starts all of its workers up
-    front, whatever the number of tasks.
+    One means the sweep runs in-process.  Under the fork start method
+    the pool starts all of its workers up front, whatever the number of
+    tasks.
     """
-    return max(1, min(jobs, num_tasks, os.cpu_count() or 1))
+    return max(1, min(8, num_tasks, os.cpu_count() or 1))
 
 
 def _cmd_sweep(args, out):
@@ -265,7 +273,7 @@ def _cmd_sweep(args, out):
     sub = args.subcommand
     if sub not in _SWEEP_COLUMNS:
         raise InvalidParameterError(f"sweep does not support subcommand {sub!r}")
-    swept = "k" if sub == "morgan" else "c"
+    swept = _SWEEP_COLUMNS[sub][0]
     if name != swept:
         raise InvalidParameterError(f"sweep {sub} runs over {swept}, not {name!r}")
     # a bad shared grid or a non-integer k would fail or be truncated: reject it up front
@@ -277,7 +285,7 @@ def _cmd_sweep(args, out):
     header = _SWEEP_COLUMNS[sub] + ("status",)
     shared = {"step": args.step, "grid": args.grid}
     tasks = [(sub, v, shared) for v in grid_values]
-    workers = _worker_count(args.jobs, len(tasks))
+    workers = _worker_count(len(tasks))
     if workers > 1:
         # imported here: its ~18 ms import serves no other command
         from concurrent.futures import ProcessPoolExecutor
@@ -290,7 +298,7 @@ def _cmd_sweep(args, out):
     for value, (status, row) in zip(grid_values, results):
         if row is None:
             failures += 1
-            rows.append(tuple([value] + ["nan"] * (len(header) - 2) + [status]))
+            rows.append(tuple([value] + [None] * (len(header) - 2) + [status]))
         else:
             rows.append(tuple(list(row) + [status]))
     csv_name = f"sweep_{sub}_{name}.csv"
@@ -311,8 +319,8 @@ def _parse_grid_spec(spec: str):
         raise InvalidParameterError(f"bad grid spec {spec!r}; expected name=start:stop:count") from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise InvalidParameterError(f"grid spec {spec!r} needs a finite start and stop")
-    if count < 0:
-        raise InvalidParameterError("grid count must be nonnegative")
+    if not 0 <= count <= _MAX_SWEEP_POINTS:
+        raise InvalidParameterError(f"grid count must be between 0 and {_MAX_SWEEP_POINTS}")
     if count == 0:
         return name.strip(), []
     if count == 1:
@@ -328,16 +336,6 @@ def _grid_pair(text: str):
         raise argparse.ArgumentTypeError("grid must be Nr,Nphi") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 # every option, defined once; a subcommand takes the ones it names below
 _FLAGS = {
     "c": {"type": float, "default": 0.0},
@@ -345,7 +343,6 @@ _FLAGS = {
     "tol": {"type": float, "default": 1e-6},
     "grid": {"type": _grid_pair, "default": (128, 128)},
     "out": {"default": "out"},
-    "jobs": {"type": _positive_int, "default": min(8, os.cpu_count() or 1)},
     "plot-data": {"action": "store_true"},
     "beta": {"type": float, "default": 1.0},
     "phi-max": {"type": float, "default": PHI_CAP},
@@ -374,7 +371,7 @@ _COMMANDS = {
               "c step grid out radii", {}),
     "barriers": (_cmd_barriers, "barrier certification at one slope", "c step out M phi2", {}),
     "morgan": (_cmd_morgan, "plane-through-vertex minimality threshold", "out k", {}),
-    "sweep": (_cmd_sweep, "map a subcommand over a parameter grid", "step grid jobs out",
+    "sweep": (_cmd_sweep, "map a subcommand over a parameter grid", "step grid out",
               {"step": 1e-3, "grid": (64, 64)}),
 }
 

@@ -153,6 +153,8 @@ class TestExitCodes:
             ["critical-c", "--c", "3"],
             ["barriers", "--grid", "64,64"],
             ["morgan", "--k", "3", "--step", "1e-3"],
+            # the sweep sizes its own pool
+            ["sweep", "c=0:1:2", "phi0", "--jobs", "2"],
         ],
     )
     def test_flag_the_subcommand_does_not_read(self, tmp_path, argv):
@@ -165,27 +167,29 @@ class TestExitCodes:
             ["critical-c", "--lo", "0.3", "--hi", "1", "--tol", "inf"],
             ["barriers", "--c", "0.02", "--M", "nan"],
             ["profile", "--phi-max", "nan"],
-            ["sweep", "c=nan:1:3", "phi0", "--jobs", "1"],
-            ["sweep", "c=0:inf:3", "phi0", "--jobs", "1"],
+            ["sweep", "c=nan:1:3", "phi0"],
+            ["sweep", "c=0:inf:3", "phi0"],
             # no audited plane point would leave the flat margin NaN
             ["barriers", "--c", "0.02", "--M", "16", "--phi2", "3.0"],
             # a grid every sweep point would reject
-            ["sweep", "c=0:1:2", "minimize", "--grid", "1,1", "--jobs", "1"],
-            ["sweep", "c=0:1:2", "minimize", "--grid", "4,3", "--jobs", "1"],
+            ["sweep", "c=0:1:2", "minimize", "--grid", "1,1"],
+            ["sweep", "c=0:1:2", "minimize", "--grid", "4,3"],
             # a non-integer plane dimension, which the point would truncate
-            ["sweep", "k=2:3:4", "morgan", "--jobs", "1"],
+            ["sweep", "k=2:3:4", "morgan"],
             # a parameter name the subcommand does not sweep
-            ["sweep", "x=0:1:3", "phi0", "--jobs", "1"],
-            ["sweep", "M=4:16:3", "stability", "--jobs", "1"],
-            ["sweep", "c=2:4:3", "morgan", "--jobs", "1"],
-            ["sweep", "k=0:1:2", "minimize", "--jobs", "1"],
+            ["sweep", "x=0:1:3", "phi0"],
+            ["sweep", "M=4:16:3", "stability"],
+            ["sweep", "c=2:4:3", "morgan"],
+            ["sweep", "k=0:1:2", "minimize"],
             # c * c overflows, which would make the profile equation lose lam
             ["phi0", "--c", "1e155"],
             ["stability", "--c", "1e155"],
             # a subcommand sweep does not map, a negative count, a one-number grid
-            ["sweep", "c=0:1:2", "profile", "--jobs", "1"],
-            ["sweep", "c=0:1:-1", "phi0", "--jobs", "1"],
+            ["sweep", "c=0:1:2", "profile"],
+            ["sweep", "c=0:1:-1", "phi0"],
             ["steklov", "--grid", "5"],
+            # a count past the point bound, rejected before linspace allocates it
+            ["sweep", "c=0:1:1000000000000", "phi0"],
         ],
     )
     def test_non_finite_value(self, tmp_path, argv):
@@ -195,14 +199,14 @@ class TestExitCodes:
 
 class TestSweep:
     def test_morgan_sweep(self, tmp_path):
-        rc = main(["sweep", "k=2:4:3", "morgan", "--jobs", "1", "--out", str(tmp_path)])
+        rc = main(["sweep", "k=2:4:3", "morgan", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "sweep_morgan_k.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["2", "3", "4"]
         assert all(r.endswith(",ok") for r in rows[1:])
 
     def test_stability_sweep(self, tmp_path):
-        rc = main(["sweep", "c=0:2:5", "stability", "--jobs", "1", "--out", str(tmp_path)])
+        rc = main(["sweep", "c=0:2:5", "stability", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
         assert rows[0] == "c,phi0,H1,margin,stable,status"
@@ -210,23 +214,42 @@ class TestSweep:
         assert all(row.endswith(",ok") for row in rows[1:])
 
     def test_empty_sweep(self, tmp_path):
-        rc = main(["sweep", "c=0:2:0", "stability", "--jobs", "1", "--out", str(tmp_path)])
+        rc = main(["sweep", "c=0:2:0", "stability", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
         assert rows == ["c,phi0,H1,margin,stable,status"]
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        rc = main(["sweep", "c=0:1:4", "phi0", "--jobs", "2", "--out", str(tmp_path / "par")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["c=0:2:3", "stability"],
+            ["c=0:1:4", "phi0"],
+            ["k=2:4:3", "morgan"],
+            ["c=0:6:2", "minimize", "--grid", "24,24"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_pool_matches_in_process(self, tmp_path, monkeypatch, argv):
+        csvs = []
+        for cpus in (2, 1):  # two workers, then one: the in-process loop
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / str(cpus)
+            assert main(["sweep"] + argv + ["--out", str(out)]) == 0
+            (csv,) = out.glob("sweep_*.csv")
+            csvs.append(csv.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_missing_value_written_as_nan(self, tmp_path):
+        # at c = 6 the minimizer has no free boundary angle on 0.2 <= r <= 0.8
+        rc = main(["sweep", "c=0:6:2", "minimize", "--grid", "24,24", "--out", str(tmp_path)])
         assert rc == 0
-        rc = main(["sweep", "c=0:1:4", "phi0", "--jobs", "1", "--out", str(tmp_path / "ser")])
-        assert rc == 0
-        a = (tmp_path / "par" / "sweep_phi0_c.csv").read_bytes()
-        b = (tmp_path / "ser" / "sweep_phi0_c.csv").read_bytes()
-        assert a == b
+        text = (tmp_path / "sweep_minimize_c.csv").read_text()
+        assert "None" not in text
+        assert text.splitlines()[2].split(",")[3:] == ["nan", "0", "ok"]
 
     def test_minimize_sweep(self, tmp_path):
         rc = main(
-            ["sweep", "c=0:0.2:2", "minimize", "--jobs", "1", "--grid", "24,24", "--out", str(tmp_path)]
+            ["sweep", "c=0:0.2:2", "minimize", "--grid", "24,24", "--out", str(tmp_path)]
         )
         assert rc == 0
         rows = (tmp_path / "sweep_minimize_c.csv").read_text().splitlines()
@@ -234,14 +257,14 @@ class TestSweep:
         assert len(rows) == 3
 
     def test_large_slopes_give_rows(self, tmp_path):
-        rc = main(["sweep", "c=11:13:3", "stability", "--jobs", "1", "--out", str(tmp_path)])
+        rc = main(["sweep", "c=11:13:3", "stability", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
         assert len(rows) == 4
         assert all(row.endswith(",0,ok") for row in rows[1:])
 
     def test_single_point_sweep(self, tmp_path):
-        rc = main(["sweep", "c=0.3:0.3:1", "phi0", "--jobs", "1", "--out", str(tmp_path)])
+        rc = main(["sweep", "c=0.3:0.3:1", "phi0", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "sweep_phi0_c.csv").read_text().splitlines()
         assert len(rows) == 2
@@ -250,7 +273,7 @@ class TestSweep:
     def test_overflowing_margin_is_an_error_row(self, tmp_path):
         # at step 1e-3 the margin at c = 53.28 overflows; 53.29 puts phi0
         # within double rounding of pi
-        rc = main(["sweep", "c=53.26:53.29:4", "stability", "--jobs", "1", "--out", str(tmp_path)])
+        rc = main(["sweep", "c=53.26:53.29:4", "stability", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
         assert [row.endswith(",ok") for row in rows[1:]] == [True, True, False, False]
@@ -258,31 +281,29 @@ class TestSweep:
 
     def test_worker_count_clamped(self, monkeypatch):
         # checked without a pool: fork starts every worker up front
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _worker_count(100) == 8
+        assert _worker_count(5) == 5
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _worker_count(64, 100) == 2
-        assert _worker_count(64, 1) == 1
-        assert _worker_count(1, 100) == 1
-        assert _worker_count(0, 100) == 1
+        assert _worker_count(100) == 2
+        assert _worker_count(1) == 1
+        assert _worker_count(0) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count(4, 4) == 1
+        assert _worker_count(4) == 1
 
     def test_bad_spec(self, tmp_path):
         assert main(["sweep", "c=0:2", "stability", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_jobs_must_be_positive(self, tmp_path, jobs):
-        assert main(["sweep", "c=0:1:2", "phi0", "--jobs", jobs, "--out", str(tmp_path)]) == 2
-
     def test_row_count_includes_failures(self, tmp_path):
         # one negative slope fails in-row, the rest succeed
-        rc = main(["sweep", "c=-0.5:1:4", "stability", "--jobs", "1", "--out", str(tmp_path)])
+        rc = main(["sweep", "c=-0.5:1:4", "stability", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
         assert len(rows) == 5
         assert sum("error" in row for row in rows[1:]) == 1
 
     def test_all_points_failing_exits_three(self, tmp_path):
-        rc = main(["sweep", "c=-1:-0.5:3", "stability", "--jobs", "1", "--out", str(tmp_path)])
+        rc = main(["sweep", "c=-1:-0.5:3", "stability", "--out", str(tmp_path)])
         assert rc == 3
         rows = (tmp_path / "sweep_stability_c.csv").read_text().splitlines()
         assert len(rows) == 4
