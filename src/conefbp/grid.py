@@ -7,7 +7,9 @@ conservative edge form of the axisymmetric cone Laplacian, Dirichlet
 solves of that form by conjugate gradients preconditioned with its
 exact full-grid inverse (fast diagonalization of the tensor-product
 form; optional cut-cell weights for plane boundaries that do not align
-with the grid), metric gradient magnitudes, and plain-text snapshots.
+with the grid, against which the inverse is rescaled symmetrically at
+the nodes whose diagonal they change), metric gradient magnitudes, and
+plain-text snapshots.
 """
 
 from __future__ import annotations
@@ -190,31 +192,83 @@ def _modes(k, mass):
 
 
 def _full_grid_inverse(wr, wp, fixed):
-    """Inverse of the edge form of ``dirichlet_edge_weights`` with only the row r = 1 fixed.
+    """Inverse P of the edge form of ``dirichlet_edge_weights`` with only the row r = 1 fixed.
 
     Those weights are rank one, wr = a s^T and wp = m b^T, so on rows
-    0..nr-2 the form is the tensor sum A = K (x) D + M (x) L, with K, L
+    0..nr-2 the form is the tensor sum A0 = K (x) D + M (x) L, with K, L
     the 1-D stiffness matrices of a, b and D, M the diagonals of s, m.
-    With K V = M V Lambda and L W = D W N, A^-1 R = V ((V^T R W) /
+    With K V = M V Lambda and L W = D W N, A0^-1 R = V ((V^T R W) /
     (lambda_i + nu_j)) W^T (fast diagonalization, Lynch, Rice & Thomas
     1964).  Returns that map on full-grid arrays, written into z and
-    followed by zeroing the nodes in ``fixed`` (which hold the row r = 1).
+    followed by zeroing the nodes in ``fixed`` (which hold the row r = 1);
+    ``scratch`` (at least nr * nphi floats) holds the intermediate
+    products and the denominators, so an apply allocates no array.
+    ``_scaled_form`` scales P symmetrically to the diagonal of
+    the form actually solved; with a positive diagonal scaling S P S
+    stays SPD.
     """
     a, s = wr[:, 0], wr[0] / wr[0, 0]
     m, b = wp[:, 0], wp[0] / wp[0, 0]
     lam, v = _modes(_stiffness(a)[:-1, :-1], m[:-1])
     nu, w = _modes(_stiffness(b), s)
 
-    def apply(res, z):
-        t = v.T @ res[:-1]
-        t = t @ w
-        t /= lam[:, None] + nu[None, :]
-        t = t @ w.T
-        np.matmul(v, t, out=z[:-1])
+    def apply(res, z, scratch):
+        zu = z[:-1]
+        t = scratch[: zu.size].reshape(zu.shape)
+        np.matmul(v.T, res[:-1], out=t)
+        np.matmul(t, w, out=zu)
+        zu /= np.add(lam[:, None], nu[None, :], out=t)
+        np.matmul(zu, w.T, out=t)
+        np.matmul(v, t, out=zu)
         z[fixed] = 0.0
         return z
 
     return apply
+
+
+def _scaled_form(field: AxisymField, fixed, weight_scale):
+    """Edge weights (wp padded) of the form A that ``dirichlet_solve`` solves, and its preconditioner.
+
+    A is the form A0 of ``dirichlet_edge_weights`` with its edge weights
+    multiplied by ``weight_scale``.  The preconditioner is S P S, with P
+    the full-grid inverse of A0 and S = sqrt(diag A0 / diag A) on the
+    unknowns: Jacobi equilibration of P against A's diagonal (van der
+    Sluis 1969), which P alone misses where cut-cell factors 1/theta
+    enlarge it.  S is diagonal and positive, so S P S is SPD on the
+    unknowns whenever P is.  S differs from 1 only at the few unknowns
+    whose diagonal the factors change; only those are stored.  There the
+    residual is scaled in place and its saved values are written back
+    after P, so an apply makes no new full-grid array.  Without factors
+    the set is empty and S P S is P, bit for bit.
+    """
+    wr, wp = dirichlet_edge_weights(field)
+    inverse = _full_grid_inverse(wr, wp, fixed)
+    diag0 = edge_diag(wr, wp, fixed.shape)
+    with np.errstate(over="ignore"):  # an overflow shows as inf in the diagonal
+        if weight_scale is not None:
+            scale = [np.asarray(x, dtype=float) for x in weight_scale]
+            if [x.shape for x in scale] != [wr.shape, wp.shape]:
+                raise GridMismatchError("weight_scale must be a pair of arrays shaped like (wr, wp)")
+            if not all(np.all(np.isfinite(x) & (x > 0.0)) for x in scale):
+                raise InvalidParameterError("weight_scale factors must be finite and positive")
+            wr *= scale[0]
+            wp *= scale[1]
+        diag = edge_diag(wr, wp, fixed.shape)
+    if not np.all(np.isfinite(diag)):
+        raise InvalidParameterError("weight_scale factors overflow the scaled edge weights")
+    nodes = np.flatnonzero((diag != diag0) & ~fixed)
+    factor = np.sqrt(diag0.ravel()[nodes] / diag.ravel()[nodes])
+
+    def precondition(res, z, scratch):
+        rf = res.reshape(-1)
+        saved = rf[nodes]
+        rf[nodes] *= factor
+        inverse(res, z, scratch)
+        rf[nodes] = saved
+        z.reshape(-1)[nodes] *= factor
+        return z
+
+    return wr, pad_phi_weights(wp), precondition
 
 
 def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
@@ -224,14 +278,17 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
     data; the mask must hold the whole row r = 1.  ``weight_scale``
     optionally multiplies the (wr, wp) edge weights by positive factors of
     their shapes, which implements shortened cut-cell edges at
-    non-grid-aligned boundaries.  The solve runs conjugate gradients on
-    the symmetric conservative form to relative residual 1e-10, each step
-    preconditioned by the exact inverse of the unscaled form on the full
-    grid restricted to the unknowns (a principal submatrix of an SPD
-    inverse, so valid for any mask and any weights: the capacitance idea
-    of Buzbee, Dorr, George & Golub 1971).  On the full grid it converges
-    in one iteration.  Failure raises ConvergenceFailureError carrying
-    the iteration log.
+    non-grid-aligned boundaries; factors whose products with the weights
+    overflow are rejected.  The solve runs conjugate gradients on the
+    symmetric conservative form to relative residual 1e-10, each step
+    preconditioned by S P S: P is the exact inverse of the unscaled form
+    on the full grid restricted to the unknowns (a principal submatrix of
+    an SPD inverse, so valid for any mask: the capacitance idea of
+    Buzbee, Dorr, George & Golub 1971), and the positive diagonal S
+    scales it to the diagonal of the scaled form, which keeps it SPD
+    (see ``_scaled_form``).  Without factors S is the identity, and on
+    the full grid the solve converges in one iteration.  Failure raises
+    ConvergenceFailureError carrying the iteration log.
     """
     if field.dirichlet.shape != field.values.shape:
         raise GridMismatchError("Dirichlet mask shape does not match the field")
@@ -239,22 +296,14 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
     if not fixed[-1].all():
         raise InvalidParameterError("the Dirichlet mask must hold the whole row r = 1")
     require_finite(field.values, "Dirichlet data and starting values")
-    wr, wp = dirichlet_edge_weights(field)
-    precondition = _full_grid_inverse(wr, wp, fixed)
-    if weight_scale is not None:
-        scale = [np.asarray(x, dtype=float) for x in weight_scale]
-        if [x.shape for x in scale] != [wr.shape, wp.shape]:
-            raise GridMismatchError("weight_scale must be a pair of arrays shaped like (wr, wp)")
-        if not all(np.all(np.isfinite(x) & (x > 0.0)) for x in scale):
-            raise InvalidParameterError("weight_scale factors must be finite and positive")
-        wr *= scale[0]
-        wp *= scale[1]
-    wp = pad_phi_weights(wp)  # rebound, so the unpadded copy is freed
+    wr, wp, precondition = _scaled_form(field, fixed, weight_scale)
+    # the edge kernel's and the preconditioner's scratch: never used at once
+    scratch = np.empty(field.values.size)
     # A p, then alpha p, then the preconditioned residual z: one buffer in turn
     ap = np.empty(field.values.shape)
 
     def apply_a(x):
-        edge_apply(x, wr, wp, out=ap)
+        edge_apply(x, wr, wp, out=ap, scratch=scratch)
         ap[fixed] = 0.0
         return ap
 
@@ -265,7 +314,7 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
         return field.with_values(np.where(fixed, field.values, 0.0))
     x = field.values.copy()
     r_vec = -apply_a(x)
-    p = precondition(r_vec, np.empty_like(ap))
+    p = precondition(r_vec, np.empty_like(ap), scratch)
     rz = float(np.vdot(r_vec, p))
     log = []
     for it in range(_CG_MAX_ITER):
@@ -283,7 +332,7 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
             log.append((it, res))
         if res <= _CG_TOL:
             break
-        z = precondition(r_vec, ap)
+        z = precondition(r_vec, ap, scratch)
         rz_new = float(np.vdot(r_vec, z))
         p *= rz_new / rz
         p += z

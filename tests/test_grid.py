@@ -10,6 +10,7 @@ from conefbp.grid import (
     dirichlet_edge_weights,
     dirichlet_solve,
     edge_apply,
+    edge_diag,
     field_from_solution,
     gradient_sq_field,
     make_field,
@@ -127,12 +128,13 @@ class TestDirichletSolve:
         with pytest.raises(GridMismatchError):
             dirichlet_solve(f, weight_scale=(np.ones((8, 8)), np.ones((8, 7))))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e308])
     def test_weight_scale_values_checked(self, bad):
+        # 1e308 is finite, but its product with this edge's weight (about 3) is not
         f = make_field(8, 8, 0.0)
         f.values[-1, :] = 1.0
         scale = (np.ones((7, 8)), np.ones((8, 7)))
-        scale[1][2, 3] = bad
+        scale[0][6, 3] = bad
         with pytest.raises(InvalidParameterError):
             dirichlet_solve(f, weight_scale=scale)
 
@@ -145,12 +147,18 @@ class TestDirichletSolve:
 
     @staticmethod
     def _cg_reference(f, weight_scale=None):
-        # the CG loop with a fresh array per operation and the slice-form kernel
+        # the CG loop with a fresh array per operation, the slice-form kernel
+        # and the equilibration S = sqrt(diag A0 / diag A) as a dense array
         fixed = f.dirichlet
         wr, wp = dirichlet_edge_weights(f)
-        precondition = grid._full_grid_inverse(wr, wp, fixed)
+        inverse = grid._full_grid_inverse(wr, wp, fixed)
+        diag0 = edge_diag(wr, wp, f.shape)
         if weight_scale is not None:
             wr, wp = wr * weight_scale[0], wp * weight_scale[1]
+        s = np.where(fixed, 1.0, np.sqrt(diag0 / edge_diag(wr, wp, f.shape)))
+
+        def precondition(r):
+            return s * inverse(s * r, np.empty_like(r), np.empty(r.size))
 
         def apply_a(x):
             return np.where(fixed, 0.0, edge_apply_slices(x, wr, wp))
@@ -158,7 +166,7 @@ class TestDirichletSolve:
         bnorm = float(np.linalg.norm(apply_a(np.where(fixed, f.values, 0.0))))
         x = f.values.copy()
         r_vec = -apply_a(x)
-        p = precondition(r_vec, np.empty_like(r_vec))
+        p = precondition(r_vec)
         rz = float(np.vdot(r_vec, p))
         while True:
             ap = apply_a(p)
@@ -167,7 +175,7 @@ class TestDirichletSolve:
             r_vec = r_vec - alpha * ap
             if float(np.linalg.norm(r_vec)) / bnorm <= grid._CG_TOL:
                 return x
-            z = precondition(r_vec, np.empty_like(r_vec))
+            z = precondition(r_vec)
             rz_new = float(np.vdot(r_vec, z))
             p = (rz_new / rz) * p + z
             rz = rz_new
@@ -186,13 +194,32 @@ class TestDirichletSolve:
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
+    @staticmethod
+    def _lift_config():
+        # the c = 0.1, M = 16 lift at the dense audit's pasting angle
+        return BarrierConfig(c=0.1, M=16.0, phi2=audit_pair(0.1, 16.0, num=10001).phi2)
+
     @pytest.mark.parametrize("n", [128, 256])
     def test_lift_solve_needs_few_iterations(self, monkeypatch, sol01, n):
         # Jacobi-preconditioned CG needed 571 (128^2) and 1,179 (256^2) iterations
         monkeypatch.setattr(grid, "_CG_MAX_ITER", 150)
-        phi2 = audit_pair(0.1, 16.0, num=10001).phi2
-        rep = supersolution_lift_check(BarrierConfig(c=0.1, M=16.0, phi2=phi2), nr=n, nphi=n, sol=sol01)
-        assert rep.lift_gradient_ok
+        assert supersolution_lift_check(self._lift_config(), nr=n, nphi=n, sol=sol01).lift_gradient_ok
+
+    @pytest.mark.parametrize("n,cap", [(128, 36), (256, 50)])
+    def test_lift_preconditioner_equilibrated_to_the_cut_diagonal(self, monkeypatch, sol01, n, cap):
+        # the unscaled full-grid inverse needed 45 (128^2) and 80 (256^2)
+        # iterations, scaled to the cut-cell diagonal 32 and 43
+        monkeypatch.setattr(grid, "_CG_MAX_ITER", cap)
+        assert supersolution_lift_check(self._lift_config(), nr=n, nphi=n, sol=sol01).lift_gradient_ok
+
+    def test_lift_margin_at_default_tolerance_near_the_converged_one(self, monkeypatch, sol01):
+        # 256^2 flat_margin against the same solve driven to 1e-13: 4.6e-6
+        # relative with the unscaled inverse, 7.8e-7 scaled
+        config = self._lift_config()
+        got = supersolution_lift_check(config, nr=256, nphi=256, sol=sol01).flat_margin
+        monkeypatch.setattr(grid, "_CG_TOL", 1e-13)
+        converged = supersolution_lift_check(config, nr=256, nphi=256, sol=sol01).flat_margin
+        assert abs(got - converged) <= 2e-6 * abs(converged)
 
 
 class TestEdgeApply:
