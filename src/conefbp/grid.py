@@ -239,25 +239,29 @@ def _scaled_form(field: AxisymField, fixed, weight_scale):
     whose diagonal the factors change; only those are stored.  There the
     residual is scaled in place and its saved values are written back
     after P, so an apply makes no new full-grid array.  Without factors
-    the set is empty and S P S is P, bit for bit.
+    the set is empty and S P S is P, bit for bit.  The factors, and the
+    scaled diagonal for overflow, are checked before P is built.
     """
     wr, wp = dirichlet_edge_weights(field)
-    inverse = _full_grid_inverse(wr, wp, fixed)
     diag0 = edge_diag(wr, wp, fixed.shape)
-    with np.errstate(over="ignore"):  # an overflow shows as inf in the diagonal
-        if weight_scale is not None:
-            scale = [np.asarray(x, dtype=float) for x in weight_scale]
-            if [x.shape for x in scale] != [wr.shape, wp.shape]:
-                raise GridMismatchError("weight_scale must be a pair of arrays shaped like (wr, wp)")
-            if not all(np.all(np.isfinite(x) & (x > 0.0)) for x in scale):
-                raise InvalidParameterError("weight_scale factors must be finite and positive")
-            wr *= scale[0]
-            wp *= scale[1]
-        diag = edge_diag(wr, wp, fixed.shape)
-    if not np.all(np.isfinite(diag)):
-        raise InvalidParameterError("weight_scale factors overflow the scaled edge weights")
+    diag = diag0
+    if weight_scale is not None:
+        scale = [np.asarray(x, dtype=float) for x in weight_scale]
+        if [x.shape for x in scale] != [wr.shape, wp.shape]:
+            raise GridMismatchError("weight_scale must be a pair of arrays shaped like (wr, wp)")
+        if not all(np.all(np.isfinite(x) & (x > 0.0)) for x in scale):
+            raise InvalidParameterError("weight_scale factors must be finite and positive")
+        with np.errstate(over="ignore"):  # an overflow shows as inf in the diagonal
+            diag = edge_diag(wr * scale[0], wp * scale[1], fixed.shape)
+        if not np.all(np.isfinite(diag)):
+            raise InvalidParameterError("weight_scale factors overflow the scaled edge weights")
     nodes = np.flatnonzero((diag != diag0) & ~fixed)
     factor = np.sqrt(diag0.ravel()[nodes] / diag.ravel()[nodes])
+    del diag0, diag  # not held through the eigensolve, which sets the set-up peak
+    inverse = _full_grid_inverse(wr, wp, fixed)
+    if weight_scale is not None:
+        wr *= scale[0]
+        wp *= scale[1]
 
     def precondition(res, z, scratch):
         rf = res.reshape(-1)

@@ -128,13 +128,23 @@ class TestDirichletSolve:
         with pytest.raises(GridMismatchError):
             dirichlet_solve(f, weight_scale=(np.ones((8, 8)), np.ones((8, 7))))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e308])
-    def test_weight_scale_values_checked(self, bad):
-        # 1e308 is finite, but its product with this edge's weight (about 3) is not
+    @pytest.mark.parametrize(
+        "index,edge,bad",
+        [pytest.param(1, (2, 3), bad, id=str(bad)) for bad in (0.0, -1.0, math.nan, math.inf)]
+        + [pytest.param(0, (6, 3), bad, id=f"r-{bad}") for bad in (0.0, -1.0, math.nan, math.inf, 1e308)],
+    )
+    def test_weight_scale_values_checked(self, monkeypatch, index, edge, bad):
+        # on a phi edge and on an r edge; 1e308 is finite, but its product
+        # with that r edge's weight (about 3) is not.  Each bad factor is
+        # rejected before the preconditioner is built.
+        def unreachable(*args):
+            raise AssertionError("preconditioner built before weight_scale was checked")
+
+        monkeypatch.setattr(grid, "_full_grid_inverse", unreachable)
         f = make_field(8, 8, 0.0)
         f.values[-1, :] = 1.0
         scale = (np.ones((7, 8)), np.ones((8, 7)))
-        scale[0][6, 3] = bad
+        scale[index][edge] = bad
         with pytest.raises(InvalidParameterError):
             dirichlet_solve(f, weight_scale=scale)
 
