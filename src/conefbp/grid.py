@@ -301,6 +301,13 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
         raise InvalidParameterError("the Dirichlet mask must hold the whole row r = 1")
     require_finite(field.values, "Dirichlet data and starting values")
     wr, wp, precondition = _scaled_form(field, fixed, weight_scale)
+    # CG squares residual entries, which overflow for data above about
+    # 1e154, so it solves for the values times 2^-e, e the binary exponent
+    # of the largest magnitude, and scales the solution back; both
+    # scalings are exact.  Made after the set-up, whose eigensolve sets
+    # the peak.
+    e = math.frexp(max(field.values.max(), -field.values.min()))[1]
+    values = np.ldexp(field.values, -e)
     # the edge kernel's and the preconditioner's scratch: never used at once
     scratch = np.empty(field.values.size)
     # A p, then alpha p, then the preconditioned residual z: one buffer in turn
@@ -313,10 +320,10 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
 
     # the right-hand side -A_UF u_F scales the tolerance; the starting
     # residual b - A_UU u_U is -(A u)_U for the field u itself
-    bnorm = float(np.linalg.norm(apply_a(np.where(fixed, field.values, 0.0))))
+    bnorm = float(np.linalg.norm(apply_a(np.where(fixed, values, 0.0))))
     if bnorm == 0.0:
         return field.with_values(np.where(fixed, field.values, 0.0))
-    x = field.values.copy()
+    x = values
     r_vec = -apply_a(x)
     p = precondition(r_vec, np.empty_like(ap), scratch)
     rz = float(np.vdot(r_vec, p))
@@ -325,7 +332,7 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
         apply_a(p)
         denom = float(np.vdot(p, ap))
         if not denom > 0.0:
-            raise ConvergenceFailureError("conservative form lost positivity", log=log, iterate=x)
+            raise ConvergenceFailureError("conservative form lost positivity", log=log, iterate=np.ldexp(x, e))
         alpha = rz / denom
         ap *= alpha
         r_vec -= ap
@@ -343,9 +350,9 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
         rz = rz_new
     else:
         raise ConvergenceFailureError(
-            f"Dirichlet solve stalled at relative residual {res:.3e}", log=log, iterate=x
+            f"Dirichlet solve stalled at relative residual {res:.3e}", log=log, iterate=np.ldexp(x, e)
         )
-    return field.with_values(x)
+    return field.with_values(np.ldexp(x, e, out=x))
 
 
 def gradient_sq_field(field: AxisymField) -> np.ndarray:

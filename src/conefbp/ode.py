@@ -16,17 +16,22 @@ exponentially close to the far pole are located in the stretched
 variable tau = log tan(phi/2), where the equation becomes the smooth
 u'' = -lam sech(tau)^2 u; that tail is integrated once, to tau = 37,
 and is a straight line beyond.  Both
-charts are linear, y'' = p y' + q y (p = -cot phi, q = -lam on the
-angular grid; p = 0, q = -lam sech^2 tau on the tail), so one RK4
-driver integrates them and one Hermite kernel gives dense (value,
-slope) output on either.  Being linear, each RK4 step is a 2x2 matrix.
-The driver, _run, cuts a run into equal blocks of steps; for each block
-the chart builds its coefficients and, with numpy, the step matrices as
-deviations from the identity, and one two-level prefix product applies
-them from the state the previous block left.  The stored runs (angular
-grid, tau tail) apply every step; the step-halving rerun is only
-compared at the grid nodes, so its blocks multiply the half steps in
-pairs and the driver applies the pairs.  Dense output in phi
+charts are linear, y'' = p y' - lam sigma y (p = -cot phi, sigma = 1
+on the angular grid; p = 0, sigma = sech^2 tau on the tail), so one
+RK4 driver integrates them and one Hermite kernel gives dense (value,
+slope) output on either.  Being linear, each RK4 step is a 2x2 matrix,
+and the slope enters it only through lam: the matrix minus I is
+E0 + lam E1 + lam^2 E2, with lam-free coefficients E of the step and
+the chart alone, built by one closed form for both charts.  The
+driver, _run, cuts a run into equal blocks of steps; for each block it
+evaluates the deviations from the identity from E by Horner's rule,
+and one two-level prefix product applies them from the state the
+previous block left.  A run of one block, every run at the sweep step
+1e-3, keeps its E in a small memo, so later profiles at other slopes
+only evaluate and apply them.  The stored runs (angular grid, tau
+tail) apply every step; the step-halving rerun is only compared at the
+grid nodes, so its blocks multiply the half steps in pairs and the
+driver applies the pairs.  Dense output in phi
 has one array evaluator, RadialProfile.sample, for angles in [0, pi):
 pole series up to the first node, grid Hermite, and the tau tail beyond
 the grid end; its scalar forms are views of it.
@@ -82,10 +87,22 @@ _HALVING_TOL = 1e-9
 # step takes ~18k steps, its halving rerun ~18k pair steps of two half
 # steps each.  A run to PHI_CAP at step 1e-3 is one block; at 4096 the
 # rerun's blocks at the default step outgrow a 2 MiB L2 cache and the
-# default-step margin slows by about 8%.
+# default-step margin slows by about 8%.  It also sets what _MEMO keeps:
+# the lam-free coefficients of single-block runs only, never those of
+# the default step or finer, whose runs take several blocks.
 _BLOCK = 3072
 # Matrices per block of the prefix product in _apply.
 _SPAN = 8
+# The lam-free coefficients of whole single-block runs, keyed by chart,
+# step, steps and, for the tail, its start tau0 (the angular chart always
+# starts at 10 step); see _memoized.  A margin at step 1e-3 stores three
+# runs (angular, halving rerun, tail), 7 varying entries per step, in
+# about 0.42 MB, and every later margin at that step reuses them.
+# Admission stops at _MEMO_CAP bytes; nothing is evicted.  The memo is
+# shared by every caller in the process and changes only the speed, never
+# a bit of a result.
+_MEMO_CAP = 2**20
+_MEMO: dict = {}
 
 
 def _pole_series(lam: float, phi, f0: float = 1.0):
@@ -97,44 +114,97 @@ def _pole_series(lam: float, phi, f0: float = 1.0):
     return f0 * (1.0 - 0.25 * lam * phi * phi), f0 * (-0.5 * lam * phi)
 
 
-def _rk4_step(y, yp, h, p0, pm, p1, q0, qm, q1):
-    """One classical RK4 step for y'' = p y' + q y; the arguments may be arrays."""
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    l1 = p0 * yp + q0 * y
-    y2 = y + h2 * yp
-    p2 = yp + h2 * l1
-    l2 = pm * p2 + qm * y2
-    y3 = y + h2 * p2
-    p3 = yp + h2 * l2
-    l3 = pm * p3 + qm * y3
-    y4 = y + h * p3
-    p4 = yp + h * l3
-    l4 = p1 * p4 + q1 * y4
-    return y + h6 * (yp + 2.0 * (p2 + p3) + p4), yp + h6 * (l1 + 2.0 * (l2 + l3) + l4)
+def _coefficients(h, p, sigma):
+    """lam-free coefficients E of the RK4 step matrices of y'' = p y' - lam sigma y.
 
-
-def _step_matrices(h, p, q):
-    """RK4 step matrices [[a, b], [c, d]] of y'' = p y' + q y, as rows ((a, b), (c, d)).
-
-    p and q hold the coefficients at the 2k+1 half-step nodes of k steps,
-    or one of them is a scalar.  Both columns come from one step applied
-    to the stacked unit vectors (1, 0) and (0, 1); each row is (2, k).
+    p and sigma hold the chart's coefficients at the 2k+1 half-step
+    nodes of k steps, or one of them is a scalar.  Step j's matrix is
+    I + E[0, :, :, j] + lam E[1, :, :, j] + lam^2 E[2, :, :, j], rows
+    ((a, b), (c, d)): the four RK4 stages expanded in lam, exactly of
+    degree 2, in nested form of h, sigma and p0, pm, p1 = h p at the
+    step's three nodes.  The deviations a - 1 and d - 1 are formed
+    directly, never as (1 + x) - 1.  Returns an array (3, 2, 2, k).
     """
-    y, yp = np.eye(2)[:, :, None]
-    thirds = [(x, x, x) if np.ndim(x) == 0 else (x[:-1:2], x[1::2], x[2::2]) for x in (p, q)]
-    return _rk4_step(y, yp, h, *thirds[0], *thirds[1])
+    (p0, pm, p1), (s0, sm, s1) = (
+        (x, x, x) if np.ndim(x) == 0 else (x[:-1:2], x[1::2], x[2::2]) for x in (h * p, sigma)
+    )
+    k = (max(np.size(p), np.size(sigma)) - 1) // 2
+    g = h / 24.0
+    co = np.empty((3, 2, 2, k))
+    co[0, :, 0] = 0.0
+    co[2, 0, 1] = 0.0
+    u = 4.0 + pm
+    v = 4.0 + pm * (2.0 + pm)
+    co[0, 0, 1] = h + g * (p0 * v + 2.0 * pm * u)
+    co[0, 1, 1] = ((p0 + p1) * (4.0 + pm * (4.0 + 2.0 * pm)) + pm * (16.0 + pm * (4.0 + p0 * p1))) / 24.0
+    co[1, 0, 0] = -h * g * (s0 * v + 2.0 * sm * u)
+    co[1, 0, 1] = -h * h * g * sm * (u + p0)
+    co[1, 1, 0] = -g * (
+        s0 * (4.0 + pm * (4.0 + pm * (2.0 + p1))) + 2.0 * sm * (2.0 * u + p1 * (2.0 + pm)) + 4.0 * s1
+    )
+    co[1, 1, 1] = -h * g * (sm * (8.0 + 2.0 * (p0 + p1 + pm) + p1 * (p0 + pm)) + s1 * (4.0 + pm * (2.0 + p0)))
+    co[2, 0, 0] = h**3 * g * s0 * sm
+    co[2, 1, 0] = h * h * g * (s0 * sm * (2.0 + p1) + s1 * (2.0 * sm + pm * s0))
+    co[2, 1, 1] = h**3 * g * s1 * sm
+    return co
 
 
-def _deviations(h, p, q):
-    """The step matrices of _step_matrices minus I, as an array (2, 2, k).
-
-    Subtracting 1 from the diagonal is exact: a and d lie near 1.
-    """
-    dev = np.array(_step_matrices(h, p, q))
-    dev[0, 0] -= 1.0
-    dev[1, 1] -= 1.0
+def _deviations(co, lam):
+    """The step matrices of _coefficients minus I, E0 + lam (E1 + lam E2), as an array (2, 2, k)."""
+    dev = co[2] * lam
+    dev += co[1]
+    dev *= lam
+    dev += co[0]
     return dev
+
+
+class _StoredRun:
+    """A run's coefficients from _coefficients, keeping only the entries that vary.
+
+    An entry that takes one value over the whole run (the zeros, the
+    tail's b0 = h, the angular chart's lam^2 coefficients h^4/24 of a
+    and d) is kept as that value, so storage is lossless.  The arrays
+    are read-only.
+    """
+
+    def __init__(self, co):
+        flat = co.reshape(12, -1)
+        self.varies = (flat != flat[:, :1]).any(axis=1)
+        self.rows = flat[self.varies]
+        self.fill = flat[~self.varies, :1]
+        self.width = flat.shape[1]
+        self.nbytes = self.rows.nbytes + self.fill.nbytes
+        self.rows.flags.writeable = False
+        self.fill.flags.writeable = False
+
+    def columns(self, s, e):
+        """Columns s .. e-1 of the run's coefficients, as an array (3, 2, 2, e - s)."""
+        out = np.empty((12, e - s))
+        out[self.varies] = self.rows[:, s:e]
+        out[~self.varies] = self.fill
+        return out.reshape(3, 2, 2, -1)
+
+
+def _memoized(key, n, build):
+    """The coefficients of steps s .. e-1 of an n-step run, as a function of (s, e).
+
+    build(s, e) gives them from the chart, the same number of columns
+    for every step (two for a pair step).  A run that _run applies as
+    one block (n <= _BLOCK) is built whole once and kept in _MEMO under
+    key while the memo stays within _MEMO_CAP bytes; nothing is
+    evicted.  A stored run serves any block by slicing, and
+    _coefficients works column by column, so the bits never depend on
+    the block size or on whether the run was stored.
+    """
+    stored = _MEMO.get(key)
+    if stored is None:
+        if n > _BLOCK:
+            return build
+        stored = _StoredRun(build(0, n))
+        if sum(v.nbytes for v in _MEMO.values()) + stored.nbytes <= _MEMO_CAP:
+            _MEMO[key] = stored
+    w = stored.width // n
+    return lambda s, e: stored.columns(w * s, w * e)
 
 
 def _run(y, yp, n, deviations):
@@ -215,16 +285,25 @@ def _angular_p(step: float, lo: int, hi: int) -> np.ndarray:
     return p
 
 
+def _angular_coefficients(h: float, n: int, per_step: int = 1):
+    """_memoized coefficients of the angular chart at step h from 10 h, for a run of n steps.
+
+    Each step of the run is per_step steps of h.
+    """
+
+    def build(s, e):
+        return _coefficients(h, _angular_p(h, 2 * per_step * s, 2 * per_step * e + 1), 1.0)
+
+    return _memoized(("angular", h, per_step * n), n, build)
+
+
 def _rk4_angular(lam: float, step: float, phi_max: float):
     """RK4 for f'' = -cot(phi) f' - lam f on [10*step, phi_max] with the series start."""
     n = _angular_steps(step, phi_max)
     # nodes as integer multiples of the step: exact when step is a power of two
     grid = step * np.arange(10, 11 + n)
-
-    def steps(s, e):
-        return _deviations(step, _angular_p(step, 2 * s, 2 * e + 1), -lam)
-
-    f, fp = _run(*_pole_series(lam, 10.0 * step), n, steps)
+    co = _angular_coefficients(step, n)
+    f, fp = _run(*_pole_series(lam, 10.0 * step), n, lambda s, e: _deviations(co(s, e), lam))
     return grid, f, fp
 
 
@@ -236,19 +315,21 @@ def _rk4_halved(lam: float, step: float, phi_max: float):
     is dropped.
     """
     h = 0.5 * step
+    n = _angular_steps(h, phi_max) // 2
+    co = _angular_coefficients(h, n, per_step=2)
 
     def pairs(s, e):
         # the half-step matrices 2s .. 2e - 1 as deviations from I, and
         # their pair products (I + e1)(I + e0) - I = e1 + e0 + e1 e0
-        dev = _deviations(h, _angular_p(h, 4 * s, 4 * e + 1), -lam)
+        dev = _deviations(co(s, e), lam)
         e0, e1 = dev[..., ::2], dev[..., 1::2]
         return e1 + e0 + (e1[:, :1] * e0[0] + e1[:, 1:] * e0[1])
 
-    return _run(*_pole_series(lam, 10.0 * h), _angular_steps(h, phi_max) // 2, pairs)
+    return _run(*_pole_series(lam, 10.0 * h), n, pairs)
 
 
 def _tail_q(lam: float, tau: np.ndarray) -> np.ndarray:
-    """Coefficient -lam sech(tau)^2 of the tail chart u'' = q u."""
+    """u''/u = -lam sech(tau)^2 on the tail chart, for the stored second derivatives."""
     s = 1.0 / np.cosh(tau)
     return -lam * s * s
 
@@ -322,10 +403,14 @@ class RadialProfile:
             h = _TAIL_STEP_FACTOR * self.step
             n = math.ceil((_TAIL_END - tau0) / h)
 
-            def steps(s, e):
-                return _deviations(h, 0.0, _tail_q(self.lam, tau0 + 0.5 * h * np.arange(2 * s, 2 * e + 1)))
+            def build(s, e):
+                sech = 1.0 / np.cosh(tau0 + 0.5 * h * np.arange(2 * s, 2 * e + 1))
+                return _coefficients(h, 0.0, sech * sech)
 
-            u, up = _run(self.values[-1], self.derivs[-1] * math.sin(phi), n, steps)
+            co = _memoized(("tail", h, tau0, n), n, build)
+            u, up = _run(
+                self.values[-1], self.derivs[-1] * math.sin(phi), n, lambda s, e: _deviations(co(s, e), self.lam)
+            )
             self._set_tail(tau0 + h * np.arange(n + 1), u, up)
         return self._tail
 

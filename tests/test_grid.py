@@ -148,6 +148,21 @@ class TestDirichletSolve:
         with pytest.raises(InvalidParameterError):
             dirichlet_solve(f, weight_scale=scale)
 
+    def test_huge_data_solved_without_overflow(self):
+        # squared residual entries of data this large overflow a double
+        f = make_field(8, 8, 0.0)
+        f.values[-1, :] = 1e160
+        out = dirichlet_solve(f)
+        assert np.abs(out.values - 1e160).max() <= 1e-8 * 1e160
+
+    def test_power_of_two_data_scaling_is_bitwise(self, rng):
+        f = make_field(16, 16, 0.4)
+        f.values[-1] = 1.0 + rng.random(16)
+        f.dirichlet[:, 10:] = True
+        f.values[:, 10:] = rng.random((16, 6))
+        scaled = f.with_values(np.ldexp(f.values, 600))
+        assert np.array_equal(dirichlet_solve(scaled).values, np.ldexp(dirichlet_solve(f).values, 600))
+
     def test_free_outer_row_rejected(self):
         f = make_field(8, 8, 0.0)
         f.values[-1, :] = 1.0

@@ -19,6 +19,7 @@ from conefbp.ode import (
     integrate_profile,
     symmetric_solution,
 )
+from conefbp.stability import stability_margin
 
 from conftest import legendre_series, legendre_series_deriv, scalar_rk4, series_zero
 
@@ -96,9 +97,10 @@ class TestIntegrateProfile:
         assert abs(log["sup_df"] - 1e-8) <= 1e-9
         assert log["sup_dfp"] <= 1e-9
 
-    def test_memory_peak_of_a_fine_profile(self):
+    def test_memory_peak_of_a_fine_profile(self, monkeypatch):
         # bounds the temporaries of the step-halving rerun, which
         # symmetric_solution runs at the default step
+        monkeypatch.setattr(ode, "_MEMO", {})
         tracemalloc.start()
         try:
             integrate_profile(1.0, 0.3, 2.2, step=2.0**-14)
@@ -268,16 +270,68 @@ class TestRk4Kernel:
         assert got.shape == (2, m)
         assert _close_to(ys, got[0], rel=1e-13) and _close_to(yps, got[1], rel=1e-13)
 
+    @pytest.mark.parametrize("chart", ["angular", "tail"])
+    @pytest.mark.parametrize("step", [1e-3, 2.0**-14])
+    @pytest.mark.parametrize("lam", [2.0, -0.25, 0.01])
+    def test_deviations_against_extended_precision(self, chart, step, lam):
+        # every step of a whole run: the deviations of I + E(lam) against one
+        # long-double step of the scalar stage loop from (1, 0) and (0, 1),
+        # all steps at once as arrays
+        if chart == "angular":
+            h = step
+            n = int((2.2 - 10.0 * h) / h)
+            p = -1.0 / np.tan((10.0 + 0.5 * np.arange(2 * n + 1)) * h)
+            sigma = np.ones_like(p)
+            dev = ode._deviations(ode._coefficients(h, p, 1.0), lam)
+        else:
+            h = 40.0 * step
+            n = math.ceil((ode._TAIL_END - 0.675) / h)
+            p = np.zeros(2 * n + 1)
+            sigma = 1.0 / np.cosh(0.675 + 0.5 * h * np.arange(2 * n + 1)) ** 2
+            dev = ode._deviations(ode._coefficients(h, 0.0, sigma), lam)
+        ld = np.longdouble
+        thirds = [[x[:-1:2], x[1::2], x[2::2]] for x in (p.astype(ld), -ld(lam) * sigma.astype(ld))]
+        one, zero = np.ones(n, dtype=ld), np.zeros(n, dtype=ld)
+        (_, a), (_, c) = scalar_rk4(one, zero, ld(h), *thirds)
+        (_, b), (_, d) = scalar_rk4(zero, one, ld(h), *thirds)
+        # the oracle forms a and d as 1 + x in long double, so a - 1 and
+        # d - 1 carry up to 2^-64 of its rounding: four times that is their
+        # floor (a double-precision 1 + x carries up to 2^-53)
+        for (i, j), ref in (((0, 0), a - 1), ((0, 1), b), ((1, 0), c), ((1, 1), d - 1)):
+            floor = 2.0**-62 if i == j else 0.0
+            err = np.max(np.abs(dev[i, j] - ref))
+            assert err <= max(1e-14 * np.max(np.abs(ref)), floor), (i, j, err)
+
     @pytest.mark.parametrize("beta,c", [(1.0, 0.3), (-0.5, 1.0), (2.0, 0.0)])
-    def test_stored_run_against_extended_precision(self, beta, c):
-        # the same step matrices applied in turn in long double; the kernel
-        # must apply them about as well as rounding allows (36,034 steps)
+    def test_stored_run_against_scalar_loop_in_long_double(self, beta, c):
+        # the whole stored run (36,034 steps) against the scalar stage loop
+        # run in long double from the same double start and coefficients
         step = 2.0**-14
         lam = beta * (beta + 1.0) / (1.0 + c * c)
         grid, f, fp = ode._rk4_angular(lam, step, 2.2)
         n = len(grid) - 1
-        mats = ode._step_matrices(step, ode._angular_p(step, 0, 2 * n + 1), -lam)
-        (a, b), (cc, d) = ((x.astype(np.longdouble) for x in row) for row in mats)
+        ld = np.longdouble
+        p = (-1.0 / np.tan((10.0 + 0.5 * np.arange(2 * n + 1)) * step)).astype(ld)
+        phi_eps = 10.0 * step
+        y0 = 1.0 - 0.25 * lam * phi_eps * phi_eps
+        ys, yps = scalar_rk4(ld(y0), ld(-0.5 * lam * phi_eps), ld(step), p, np.full(2 * n + 1, -ld(lam)))
+        ys, yps = np.array(ys), np.array(yps)
+        assert np.max(np.abs(f - ys)) <= 1e-14 * np.max(np.abs(ys))
+        assert np.max(np.abs(fp - yps)) <= 1e-14 * np.max(np.abs(yps))
+
+    @pytest.mark.parametrize("beta,c", [(1.0, 0.3), (-0.5, 1.0), (2.0, 0.0)])
+    def test_stored_run_against_extended_precision(self, beta, c):
+        # the package's own step matrices I + E(lam), formed and applied in
+        # turn in long double; the kernel must apply them about as well as
+        # rounding allows (36,034 steps)
+        step = 2.0**-14
+        lam = beta * (beta + 1.0) / (1.0 + c * c)
+        grid, f, fp = ode._rk4_angular(lam, step, 2.2)
+        n = len(grid) - 1
+        co = ode._coefficients(step, ode._angular_p(step, 0, 2 * n + 1), 1.0).astype(np.longdouble)
+        lam_ld = np.longdouble(lam)
+        mats = np.eye(2, dtype=np.longdouble)[:, :, None] + co[0] + lam_ld * (co[1] + lam_ld * co[2])
+        (a, b), (cc, d) = mats
         y, yp = (np.longdouble(v) for v in ode._pole_series(lam, 10.0 * step))
         ys = np.empty(n + 1, dtype=np.longdouble)
         yps = np.empty(n + 1, dtype=np.longdouble)
@@ -296,8 +350,12 @@ class TestRk4Kernel:
         tau = [0.5 + 0.5 * h * k for k in range(2 * n + 1)]
         q = [-lam / math.cosh(t) ** 2 for t in tau]
         ys, yps = scalar_rk4(-0.6, -0.4, h, [0.0] * len(q), q)
-        qa = np.array(q)
-        u, up = ode._run(-0.6, -0.4, n, lambda s, e: ode._deviations(h, 0.0, qa[2 * s : 2 * e + 1]))
+        sigma = np.array([1.0 / math.cosh(t) ** 2 for t in tau])
+
+        def steps(s, e):
+            return ode._deviations(ode._coefficients(h, 0.0, sigma[2 * s : 2 * e + 1]), lam)
+
+        u, up = ode._run(-0.6, -0.4, n, steps)
         assert len(u) == n + 1
         assert _close_to(ys, u) and _close_to(yps, up)
 
@@ -312,6 +370,49 @@ class TestRk4Kernel:
             runs.append((p.values, p.derivs, *p._tail_nodes()[1:3], *ode._rk4_halved(p.lam, step, 2.2)))
         for run in runs[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
+
+
+class TestCoefficientMemo:
+    """The lam-free coefficients of single-block runs, kept across runs."""
+
+    @pytest.mark.parametrize("c", [0.0, 0.5884, 3.0, 40.0])
+    def test_margins_bitwise_equal_cold_and_warm(self, monkeypatch, c):
+        monkeypatch.setattr(ode, "_MEMO", {})
+        monkeypatch.setattr(ode, "_MEMO_CAP", 0)
+        cold = stability_margin(c, step=1e-3)
+        assert not ode._MEMO
+        monkeypatch.undo()
+        monkeypatch.setattr(ode, "_MEMO", {})
+        stability_margin(0.2, step=1e-3)
+        stored = dict(ode._MEMO)
+        # the angular run, the halving rerun and the tail, each 7 rows
+        assert len(stored) == 3 and all(v.rows.shape[0] == 7 for v in stored.values())
+        warm = stability_margin(c, step=1e-3)
+        assert ode._MEMO == stored
+        assert warm.to_dict() == cold.to_dict()
+
+    def test_stays_under_its_cap(self, monkeypatch):
+        monkeypatch.setattr(ode, "_MEMO", {})
+        for step in (1e-3, 2.0**-13, 2.0**-14):
+            stability_margin(0.4, step=step)
+        # multi-block runs (the default step and finer) never enter
+        assert {key[1] for key in ode._MEMO} == {1e-3, 5e-4, 40e-3}
+        total = sum(v.nbytes for v in ode._MEMO.values())
+        assert total <= ode._MEMO_CAP
+        assert 0.4e6 <= total <= 0.45e6
+        # a full memo admits nothing more and still serves what it holds
+        monkeypatch.setattr(ode, "_MEMO_CAP", total)
+        integrate_profile(1.0, 0.4, 2.0, step=1e-3)
+        assert sum(v.nbytes for v in ode._MEMO.values()) == total
+
+    def test_stored_arrays_read_only(self, monkeypatch):
+        monkeypatch.setattr(ode, "_MEMO", {})
+        integrate_profile(-0.5, 0.3, 2.2, step=1e-3).value_and_deriv_at_tau(5.0)
+        assert len(ode._MEMO) == 3
+        for stored in ode._MEMO.values():
+            for a in (stored.rows, stored.fill):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 0.0
 
 
 class TestFirstZero:
