@@ -132,7 +132,7 @@ def pad_phi_weights(wp):
     return np.pad(wp, ((0, 0), (0, 1)))
 
 
-def edge_apply(u, wr, wp_pad, out=None, scratch=None):
+def edge_apply(u, wr, wp_pad, out, scratch):
     """Gradient of half the edge form: the conservative operator.
 
     ``wp_pad`` comes from ``pad_phi_weights``, so the phi edges are
@@ -143,10 +143,6 @@ def edge_apply(u, wr, wp_pad, out=None, scratch=None):
     it unchanged.  ``out`` (C-contiguous, shaped like u) receives the
     result; ``scratch`` is any float array of at least u.size entries.
     """
-    if out is None:
-        out = np.empty(u.shape)
-    if scratch is None:
-        scratch = np.empty(u.size)
     out.fill(0.0)
     d = scratch[: u.size - u.shape[1]].reshape(u.shape[0] - 1, u.shape[1])
     np.subtract(u[1:], u[:-1], out=d)
@@ -320,7 +316,17 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
 
     # the right-hand side -A_UF u_F scales the tolerance; the starting
     # residual b - A_UU u_U is -(A u)_U for the field u itself
-    bnorm = float(np.linalg.norm(apply_a(np.where(fixed, values, 0.0))))
+    b = apply_a(np.where(fixed, values, 0.0))
+    # both norms are taken on vectors times 2^-k, k the binary exponent of
+    # max |b|, in the idle scratch: exact, so the ratio keeps its bits,
+    # while ||b||^2 neither underflows to 0 nor overflows when the factors
+    # scale every weight by the same tiny or huge amount
+    k = math.frexp(max(b.max(), -b.min()))[1]
+
+    def norm(v):
+        return float(np.linalg.norm(np.ldexp(v, -k, out=scratch.reshape(v.shape))))
+
+    bnorm = norm(b)
     if bnorm == 0.0:
         return field.with_values(np.where(fixed, field.values, 0.0))
     x = values
@@ -338,7 +344,7 @@ def dirichlet_solve(field: AxisymField, weight_scale=None) -> AxisymField:
         r_vec -= ap
         np.multiply(p, alpha, out=ap)
         x += ap
-        res = float(np.linalg.norm(r_vec)) / bnorm
+        res = norm(r_vec) / bnorm
         if it % 100 == 0 or res <= _CG_TOL:
             log.append((it, res))
         if res <= _CG_TOL:

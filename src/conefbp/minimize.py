@@ -276,10 +276,15 @@ def _vertex_touch(fld: AxisymField) -> bool:
 
 
 def compare_to_symmetric(fld: AxisymField, reference: AxisymField):
-    """Sup distance, energy gap and vertex contact against the symmetric solution field."""
+    """Sup distance, energy gap and vertex contact against the symmetric solution field.
+
+    The sup distance is relative to the reference peak, which must be positive.
+    """
     if not fld.same_grid(reference):
         raise GridMismatchError("fields do not share a grid")
     gap = energy(fld) - energy(reference)
     peak = float(reference.values.max())
+    if not peak > 0.0:
+        raise InvalidParameterError(f"reference field peak must be positive, got {peak}")
     sup_distance = float(np.abs(fld.values - reference.values).max()) / peak
     return sup_distance, gap, _vertex_touch(fld)

@@ -96,8 +96,9 @@ _SPAN = 8
 # The lam-free coefficients of whole single-block runs, keyed by chart,
 # step, steps and, for the tail, its start tau0 (the angular chart always
 # starts at 10 step); see _memoized.  A margin at step 1e-3 stores three
-# runs (angular, halving rerun, tail), 7 varying entries per step, in
-# about 0.42 MB, and every later margin at that step reuses them.
+# runs (angular, halving rerun, tail) as whole read-only arrays, 96 bytes
+# per step, in about 0.72 MB, and every later margin at that step reuses
+# them.
 # Admission stops at _MEMO_CAP bytes; nothing is evicted.  The memo is
 # shared by every caller in the process and changes only the speed, never
 # a bit of a result.
@@ -158,53 +159,27 @@ def _deviations(co, lam):
     return dev
 
 
-class _StoredRun:
-    """A run's coefficients from _coefficients, keeping only the entries that vary.
-
-    An entry that takes one value over the whole run (the zeros, the
-    tail's b0 = h, the angular chart's lam^2 coefficients h^4/24 of a
-    and d) is kept as that value, so storage is lossless.  The arrays
-    are read-only.
-    """
-
-    def __init__(self, co):
-        flat = co.reshape(12, -1)
-        self.varies = (flat != flat[:, :1]).any(axis=1)
-        self.rows = flat[self.varies]
-        self.fill = flat[~self.varies, :1]
-        self.width = flat.shape[1]
-        self.nbytes = self.rows.nbytes + self.fill.nbytes
-        self.rows.flags.writeable = False
-        self.fill.flags.writeable = False
-
-    def columns(self, s, e):
-        """Columns s .. e-1 of the run's coefficients, as an array (3, 2, 2, e - s)."""
-        out = np.empty((12, e - s))
-        out[self.varies] = self.rows[:, s:e]
-        out[~self.varies] = self.fill
-        return out.reshape(3, 2, 2, -1)
-
-
 def _memoized(key, n, build):
     """The coefficients of steps s .. e-1 of an n-step run, as a function of (s, e).
 
     build(s, e) gives them from the chart, the same number of columns
     for every step (two for a pair step).  A run that _run applies as
-    one block (n <= _BLOCK) is built whole once and kept in _MEMO under
-    key while the memo stays within _MEMO_CAP bytes; nothing is
-    evicted.  A stored run serves any block by slicing, and
-    _coefficients works column by column, so the bits never depend on
-    the block size or on whether the run was stored.
+    one block (n <= _BLOCK) is built whole once, made read-only and kept
+    in _MEMO under key while the memo stays within _MEMO_CAP bytes;
+    nothing is evicted.  A stored run serves any block as a view of its
+    columns, and _coefficients works column by column, so the bits never
+    depend on the block size or on whether the run was stored.
     """
-    stored = _MEMO.get(key)
-    if stored is None:
+    co = _MEMO.get(key)
+    if co is None:
         if n > _BLOCK:
             return build
-        stored = _StoredRun(build(0, n))
-        if sum(v.nbytes for v in _MEMO.values()) + stored.nbytes <= _MEMO_CAP:
-            _MEMO[key] = stored
-    w = stored.width // n
-    return lambda s, e: stored.columns(w * s, w * e)
+        co = build(0, n)
+        co.flags.writeable = False
+        if sum(v.nbytes for v in _MEMO.values()) + co.nbytes <= _MEMO_CAP:
+            _MEMO[key] = co
+    w = co.shape[-1] // n
+    return lambda s, e: co[..., w * s : w * e]
 
 
 def _run(y, yp, n, deviations):
@@ -328,12 +303,6 @@ def _rk4_halved(lam: float, step: float, phi_max: float):
     return _run(*_pole_series(lam, 10.0 * h), n, pairs)
 
 
-def _tail_q(lam: float, tau: np.ndarray) -> np.ndarray:
-    """u''/u = -lam sech(tau)^2 on the tail chart, for the stored second derivatives."""
-    s = 1.0 / np.cosh(tau)
-    return -lam * s * s
-
-
 def _hermite(xs, ys, ds, dds, i, x):
     """Cubic Hermite (value, slope) at x on the interval [xs[i], xs[i+1]].
 
@@ -415,8 +384,9 @@ class RadialProfile:
         return self._tail
 
     def _set_tail(self, tau, u, up):
-        # u'' = q u is formed from the stored u, a rescaled one included
-        self._tail =(tau, u, up, _tail_q(self.lam, tau) * u)
+        # u'' = -lam sech(tau)^2 u is formed from the stored u, a rescaled one included
+        s = 1.0 / np.cosh(tau)
+        self._tail = (tau, u, up, -self.lam * s * s * u)
 
     def _tail_sample(self, taus):
         """(u, du/dtau) at stretched coordinates beyond the grid end, scalar or array."""

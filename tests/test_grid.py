@@ -163,6 +163,17 @@ class TestDirichletSolve:
         scaled = f.with_values(np.ldexp(f.values, 600))
         assert np.array_equal(dirichlet_solve(scaled).values, np.ldexp(dirichlet_solve(f).values, 600))
 
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_uniform_power_of_two_factors_are_bitwise(self, rng, exponent):
+        # the same form times 2^exponent: the squared norm of its right-hand
+        # side would underflow to 0 (every unknown returned 0) or overflow
+        f = make_field(16, 16, 0.4)
+        f.values[-1] = 1.0 + rng.random(16)
+        f.dirichlet[:, 10:] = True
+        f.values[:, 10:] = rng.random((16, 6))
+        scale = tuple(np.full(shape, 2.0**exponent) for shape in ((15, 16), (16, 15)))
+        assert np.array_equal(dirichlet_solve(f, weight_scale=scale).values, dirichlet_solve(f).values)
+
     def test_free_outer_row_rejected(self):
         f = make_field(8, 8, 0.0)
         f.values[-1, :] = 1.0
@@ -251,7 +262,7 @@ class TestEdgeApply:
     @pytest.mark.parametrize("nr,nphi", [(4, 4), (5, 9), (17, 6), (32, 32)])
     def test_flat_phi_edges_match_slice_form_bitwise(self, nr, nphi):
         # seeded fields of mixed sign with exact zeros and negative zeros,
-        # scaled weights included, with and without caller buffers
+        # scaled weights included, into C-ordered caller buffers
         rng = np.random.default_rng(nr * 100 + nphi)
         wr, wp = dirichlet_edge_weights(make_field(nr, nphi, 0.7))
         out, scratch = np.empty((nr, nphi)), np.empty(nr * nphi + 3)
@@ -265,14 +276,11 @@ class TestEdgeApply:
             sr, sp = rng.uniform(0.5, 2.0, wr.shape), rng.uniform(0.5, 2.0, wp.shape)
             expected = edge_apply_slices(u, wr * sr, wp * sp)
             wp_pad = pad_phi_weights(wp * sp)
-            for got in (
-                edge_apply(u, wr * sr, wp_pad),
-                edge_apply(np.asfortranarray(u), wr * sr, wp_pad),
-                edge_apply(u, wr * sr, wp_pad, out=out, scratch=scratch),
-            ):
+            for x in (u, np.asfortranarray(u)):
+                got = edge_apply(x, wr * sr, wp_pad, out, scratch)
+                assert got is out
                 assert np.array_equal(got, expected)
                 assert np.array_equal(np.signbit(got), np.signbit(expected))
-            assert got is out
 
     def test_padding_weights_the_row_crossing_pairs_zero(self):
         wp = dirichlet_edge_weights(make_field(6, 5, 0.0))[1]

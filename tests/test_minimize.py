@@ -191,6 +191,14 @@ class TestCompare:
         with pytest.raises(GridMismatchError):
             compare_to_symmetric(a, reference=b)
 
+    @pytest.mark.parametrize("peak", [0.0, -1.0])
+    def test_reference_without_positive_peak_rejected(self, peak):
+        # the sup distance is relative to the reference peak
+        ref = make_field(8, 8, 0.3)
+        ref.values[:] = peak
+        with pytest.raises(InvalidParameterError, match="peak"):
+            compare_to_symmetric(make_field(8, 8, 0.3), reference=ref)
+
 
 def _free_boundary_angle_loop(fld):
     """Row-by-row reference: interpolated first zero crossing of each row in 0.2 <= r <= 0.8."""

@@ -373,7 +373,7 @@ class TestRk4Kernel:
 
 
 class TestCoefficientMemo:
-    """The lam-free coefficients of single-block runs, kept across runs."""
+    """The lam-free coefficients of single-block runs, kept across runs as read-only arrays."""
 
     @pytest.mark.parametrize("c", [0.0, 0.5884, 3.0, 40.0])
     def test_margins_bitwise_equal_cold_and_warm(self, monkeypatch, c):
@@ -385,10 +385,11 @@ class TestCoefficientMemo:
         monkeypatch.setattr(ode, "_MEMO", {})
         stability_margin(0.2, step=1e-3)
         stored = dict(ode._MEMO)
-        # the angular run, the halving rerun and the tail, each 7 rows
-        assert len(stored) == 3 and all(v.rows.shape[0] == 7 for v in stored.values())
+        # the angular run, the halving rerun and the tail
+        assert len(stored) == 3
         warm = stability_margin(c, step=1e-3)
-        assert ode._MEMO == stored
+        assert ode._MEMO.keys() == stored.keys()
+        assert all(ode._MEMO[key] is co for key, co in stored.items())
         assert warm.to_dict() == cold.to_dict()
 
     def test_stays_under_its_cap(self, monkeypatch):
@@ -397,9 +398,13 @@ class TestCoefficientMemo:
             stability_margin(0.4, step=step)
         # multi-block runs (the default step and finer) never enter
         assert {key[1] for key in ode._MEMO} == {1e-3, 5e-4, 40e-3}
+        # whole runs, the last key entry being their steps of h: 2,190
+        # angular steps, the rerun's 4,390 half steps and 909 tail steps,
+        # each 12 doubles (96 bytes)
+        assert sorted(key[-1] for key in ode._MEMO) == [909, 2190, 4390]
+        assert all(co.shape == (3, 2, 2, key[-1]) for key, co in ode._MEMO.items())
         total = sum(v.nbytes for v in ode._MEMO.values())
-        assert total <= ode._MEMO_CAP
-        assert 0.4e6 <= total <= 0.45e6
+        assert total == 96 * (2190 + 4390 + 909) <= ode._MEMO_CAP
         # a full memo admits nothing more and still serves what it holds
         monkeypatch.setattr(ode, "_MEMO_CAP", total)
         integrate_profile(1.0, 0.4, 2.0, step=1e-3)
@@ -409,10 +414,31 @@ class TestCoefficientMemo:
         monkeypatch.setattr(ode, "_MEMO", {})
         integrate_profile(-0.5, 0.3, 2.2, step=1e-3).value_and_deriv_at_tau(5.0)
         assert len(ode._MEMO) == 3
-        for stored in ode._MEMO.values():
-            for a in (stored.rows, stored.fill):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0, 0] = 0.0
+        # served blocks are views into the memo: the whole step-1e-3 run,
+        # and the second of the two blocks of a step-5e-4 run
+        rerun = ode._MEMO[("angular", 5e-4, 4390)]
+        blocks = [ode._angular_coefficients(1e-3, 2190)(0, 2190), ode._angular_coefficients(5e-4, 4390)(2200, 4390)]
+        assert np.shares_memory(blocks[1], rerun)
+        for co in [*ode._MEMO.values(), *blocks]:
+            with pytest.raises(ValueError, match="read-only"):
+                co[0, 0, 0, 0] = 0.0
+
+    def test_stored_rerun_serves_a_two_block_run(self, monkeypatch):
+        # the halving rerun of a step-1e-3 margin is the whole angular run
+        # at step 5e-4, which _run applies in two blocks
+        assert ode._angular_steps(5e-4, 2.2) == 4390 > ode._BLOCK
+        monkeypatch.setattr(ode, "_MEMO", {})
+        cold = integrate_profile(1.0, 0.3, 2.2, step=5e-4, verify=False)
+        assert not ode._MEMO
+        stability_margin(0.2, step=1e-3)
+        assert ("angular", 5e-4, 4390) in ode._MEMO
+        built = []
+        coefficients = ode._coefficients
+        monkeypatch.setattr(ode, "_coefficients", lambda *args: built.append(args) or coefficients(*args))
+        warm = integrate_profile(1.0, 0.3, 2.2, step=5e-4, verify=False)
+        assert not built
+        assert np.array_equal(warm.values, cold.values)
+        assert np.array_equal(warm.derivs, cold.derivs)
 
 
 class TestFirstZero:
