@@ -132,10 +132,11 @@ def _cmd_critical_c(args, out):
 
 
 def _cmd_steklov(args, out):
+    sol = symmetric_solution(args.c, step=args.step)
     lam = steklov_min_quotient(
-        args.c, args.R, num_r=args.grid[0], num_phi=args.grid[1], step=args.step
+        args.c, args.R, num_r=args.grid[0], num_phi=args.grid[1], step=args.step, sol=sol
     )
-    rep = stability_margin(args.c, step=args.step)
+    rep = stability_margin(args.c, step=args.step, sol=sol)
     payload = {"c": args.c, "R": args.R, "lambda": lam, "closed_form": rep.ratio}
     name = f"steklov_c{args.c:g}_R{args.R:g}.json"
     _write_artifact(out, name, _json_bytes(payload))

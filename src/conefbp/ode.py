@@ -26,12 +26,18 @@ the chart alone, built by one closed form for both charts.  The
 driver, _run, cuts a run into equal blocks of steps; for each block it
 evaluates the deviations from the identity from E by Horner's rule,
 and one two-level prefix product applies them from the state the
-previous block left.  A run of one block, every run at the sweep step
-1e-3, keeps its E in a small memo, so later profiles at other slopes
-only evaluate and apply them.  The stored runs (angular grid, tau
-tail) apply every step; the step-halving rerun is only compared at the
-grid nodes, so its blocks multiply the half steps in pairs and the
-driver applies the pairs.  Dense output in phi
+previous block left.  The stored runs (angular grid, tau tail) apply
+every step; the step-halving rerun is only compared at the grid nodes,
+so the driver applies its pair steps (I + B)(I + A), A and B two half
+steps.  A run of one block, every run at the sweep step 1e-3, keeps
+its coefficients in a small memo, so later profiles at other slopes
+only evaluate and apply them: E for the angular grid and the tail,
+for the rerun the pair steps' lam-polynomial of degree 4, multiplied
+out once from the half steps' E, and the grid's -cos/sin, which
+RadialProfile.second_derivs reads.  A rerun the memo does not
+hold evaluates its half steps and multiplies them in pairs, so the
+rerun, which is only compared with the grid run, is the one array
+whose last bits may depend on the memo.  Dense output in phi
 has one array evaluator, RadialProfile.sample, for angles in [0, pi):
 pole series up to the first node, grid Hermite, and the tau tail beyond
 the grid end; its scalar forms are views of it.
@@ -93,15 +99,19 @@ _HALVING_TOL = 1e-9
 _BLOCK = 3072
 # Matrices per block of the prefix product in _apply.
 _SPAN = 8
-# The lam-free coefficients of whole single-block runs, keyed by chart,
-# step, steps and, for the tail, its start tau0 (the angular chart always
-# starts at 10 step); see _memoized.  A margin at step 1e-3 stores three
-# runs (angular, halving rerun, tail) as whole read-only arrays, 96 bytes
-# per step, in about 0.72 MB, and every later margin at that step reuses
-# them.
-# Admission stops at _MEMO_CAP bytes; nothing is evicted.  The memo is
-# shared by every caller in the process and changes only the speed, never
-# a bit of a result.
+# Most steps of a profile's grid run: 2^20 steps bound its arrays to tens
+# of MB; at PHI_CAP this admits steps down to about 2.1e-6.
+_MAX_STEPS = 2**20
+# Whole read-only arrays of single-block runs, keyed by kind, step, steps
+# and, for the tail, its start tau0 (the angular chart always starts at
+# 10 step); see _memoized.  A margin at step 1e-3 stores four: the
+# angular run's E and the tail's E, 96 bytes per step; the halving
+# rerun's pair polynomial, 160 bytes per pair step; and the grid's
+# -cos/sin, 8 bytes per node; 666,232 bytes in all.  Every later margin
+# at that step reuses them.  Admission stops at _MEMO_CAP bytes; nothing
+# is evicted.  The memo is shared by every caller in the process.  It
+# changes no bit of a result: only the halving rerun's last bits depend
+# on it, and the rerun is never returned.
 _MEMO_CAP = 2**20
 _MEMO: dict = {}
 
@@ -151,35 +161,55 @@ def _coefficients(h, p, sigma):
 
 
 def _deviations(co, lam):
-    """The step matrices of _coefficients minus I, E0 + lam (E1 + lam E2), as an array (2, 2, k)."""
-    dev = co[2] * lam
-    dev += co[1]
-    dev *= lam
+    """The polynomial co[0] + lam co[1] + ... in lam by Horner's rule, as an array (2, 2, k).
+
+    For the coefficients of _coefficients this is E0 + lam (E1 + lam E2),
+    the step matrices minus I.
+    """
+    dev = co[-1] * lam
+    for c in co[-2:0:-1]:
+        dev += c
+        dev *= lam
     dev += co[0]
     return dev
 
 
-def _memoized(key, n, build):
-    """The coefficients of steps s .. e-1 of an n-step run, as a function of (s, e).
+def _pair_coefficients(co):
+    """lam-free coefficients of the pair steps (I + B)(I + A) - I from those of their half steps.
 
-    build(s, e) gives them from the chart, the same number of columns
-    for every step (two for a pair step).  A run that _run applies as
-    one block (n <= _BLOCK) is built whole once, made read-only and kept
-    in _MEMO under key while the memo stays within _MEMO_CAP bytes;
-    nothing is evicted.  A stored run serves any block as a view of its
-    columns, and _coefficients works column by column, so the bits never
-    depend on the block size or on whether the run was stored.
+    co holds the coefficients of 2k half steps, as _coefficients gives
+    them; A and B are half steps 2j and 2j + 1.  A + B + B A is a
+    polynomial in lam of degree 4; returns its coefficients as an array
+    (5, 2, 2, k).
+    """
+    a, b = co[..., ::2], co[..., 1::2]
+    pc = np.zeros((5, *a.shape[1:]))
+    pc[:3] = a + b
+    for i in range(3):
+        for j in range(3):
+            # row r of B_j A_i is B_j[r, 0] A_i[0] + B_j[r, 1] A_i[1]
+            pc[i + j] += b[j][:, :1] * a[i][0] + b[j][:, 1:] * a[i][1]
+    return pc
+
+
+def _memoized(key, n, nbytes, build):
+    """The read-only array kept in _MEMO under key, or None.
+
+    An array not yet kept is built by build() and kept only for a run
+    that _run applies as one block (n <= _BLOCK) and only while the memo
+    stays within _MEMO_CAP bytes; nbytes is its size, known before it is
+    built.  Nothing is evicted.  A kept array serves runs of any block
+    size as views of its columns.  On None the caller builds the columns
+    of each block itself: the same bits for the angular run, the tail
+    and -cos/sin, and for the halving rerun the evaluate-then-multiply
+    pair products, which differ from its kept polynomial only in their
+    last bits.
     """
     co = _MEMO.get(key)
-    if co is None:
-        if n > _BLOCK:
-            return build
-        co = build(0, n)
+    if co is None and n <= _BLOCK and sum(v.nbytes for v in _MEMO.values()) + nbytes <= _MEMO_CAP:
+        co = _MEMO[key] = build()
         co.flags.writeable = False
-        if sum(v.nbytes for v in _MEMO.values()) + co.nbytes <= _MEMO_CAP:
-            _MEMO[key] = co
-    w = co.shape[-1] // n
-    return lambda s, e: co[..., w * s : w * e]
+    return co
 
 
 def _run(y, yp, n, deviations):
@@ -260,16 +290,9 @@ def _angular_p(step: float, lo: int, hi: int) -> np.ndarray:
     return p
 
 
-def _angular_coefficients(h: float, n: int, per_step: int = 1):
-    """_memoized coefficients of the angular chart at step h from 10 h, for a run of n steps.
-
-    Each step of the run is per_step steps of h.
-    """
-
-    def build(s, e):
-        return _coefficients(h, _angular_p(h, 2 * per_step * s, 2 * per_step * e + 1), 1.0)
-
-    return _memoized(("angular", h, per_step * n), n, build)
+def _angular_coefficients(h: float, s: int, e: int):
+    """_coefficients of steps s .. e-1 of the angular chart at step h from 10 h."""
+    return _coefficients(h, _angular_p(h, 2 * s, 2 * e + 1), 1.0)
 
 
 def _rk4_angular(lam: float, step: float, phi_max: float):
@@ -277,8 +300,13 @@ def _rk4_angular(lam: float, step: float, phi_max: float):
     n = _angular_steps(step, phi_max)
     # nodes as integer multiples of the step: exact when step is a power of two
     grid = step * np.arange(10, 11 + n)
-    co = _angular_coefficients(step, n)
-    f, fp = _run(*_pole_series(lam, 10.0 * step), n, lambda s, e: _deviations(co(s, e), lam))
+    co = _memoized(("angular", step, n), n, 96 * n, lambda: _angular_coefficients(step, 0, n))
+
+    def steps(s, e):
+        # _coefficients works column by column: stored or not, the same bits
+        return _deviations(_angular_coefficients(step, s, e) if co is None else co[..., s:e], lam)
+
+    f, fp = _run(*_pole_series(lam, 10.0 * step), n, steps)
     return grid, f, fp
 
 
@@ -286,17 +314,20 @@ def _rk4_halved(lam: float, step: float, phi_max: float):
     """The run of _rk4_angular at step/2, as (f, f') at every second node.
 
     The nodes are 5 step, 6 step, ...: _run applies the pair products
-    A_(2k+1) A_(2k) of the half-step matrices, and an odd last half step
-    is dropped.
+    (I + B)(I + A) of the half-step matrices A, B, and an odd last half
+    step is dropped.  The memo keeps the pair products' lam-polynomial;
+    a run it does not hold evaluates the half steps and multiplies them,
+    the same products up to their last bits.
     """
     h = 0.5 * step
     n = _angular_steps(h, phi_max) // 2
-    co = _angular_coefficients(h, n, per_step=2)
+    pc = _memoized(("pairs", h, n), n, 160 * n, lambda: _pair_coefficients(_angular_coefficients(h, 0, 2 * n)))
 
     def pairs(s, e):
-        # the half-step matrices 2s .. 2e - 1 as deviations from I, and
-        # their pair products (I + e1)(I + e0) - I = e1 + e0 + e1 e0
-        dev = _deviations(co(s, e), lam)
+        if pc is not None:
+            return _deviations(pc[..., s:e], lam)
+        # (I + e1)(I + e0) - I = e1 + e0 + e1 e0
+        dev = _deviations(_angular_coefficients(h, 2 * s, 2 * e), lam)
         e0, e1 = dev[..., ::2], dev[..., 1::2]
         return e1 + e0 + (e1[:, :1] * e0[0] + e1[:, 1:] * e0[1])
 
@@ -355,13 +386,17 @@ class RadialProfile:
         self.normalized = bool(normalized)
         self._tail = None
         self._fpp = None
+        # the chart's p = -cos/sin at the grid nodes, when integrate_profile
+        # found it in the memo; a profile built by hand forms it itself
+        self._p = None
 
     # -- dense output -------------------------------------------------
 
     def second_derivs(self) -> np.ndarray:
         """f'' at the grid nodes from the differential equation itself."""
         if self._fpp is None:
-            self._fpp = -np.cos(self.grid) / np.sin(self.grid) * self.derivs - self.lam * self.values
+            p = -np.cos(self.grid) / np.sin(self.grid) if self._p is None else self._p
+            self._fpp = p * self.derivs - self.lam * self.values
         return self._fpp
 
     def _tail_nodes(self):
@@ -376,10 +411,12 @@ class RadialProfile:
                 sech = 1.0 / np.cosh(tau0 + 0.5 * h * np.arange(2 * s, 2 * e + 1))
                 return _coefficients(h, 0.0, sech * sech)
 
-            co = _memoized(("tail", h, tau0, n), n, build)
-            u, up = _run(
-                self.values[-1], self.derivs[-1] * math.sin(phi), n, lambda s, e: _deviations(co(s, e), self.lam)
-            )
+            co = _memoized(("tail", h, tau0, n), n, 96 * n, lambda: build(0, n))
+
+            def steps(s, e):
+                return _deviations(build(s, e) if co is None else co[..., s:e], self.lam)
+
+            u, up = _run(self.values[-1], self.derivs[-1] * math.sin(phi), n, steps)
             self._set_tail(tau0 + h * np.arange(n + 1), u, up)
         return self._tail
 
@@ -462,6 +499,7 @@ class RadialProfile:
             self.step,
             normalized=True,
         )
+        out._p = self._p
         if self._tail is not None:
             tau, u, up, _ = self._tail
             out._set_tail(tau, u * factor, up * factor)
@@ -504,6 +542,9 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
         raise PoleCollisionError(f"phi_max must stay below pi, got {phi_max}")
     if not 0.0 < step <= 1e-3:
         raise InvalidParameterError(f"step must lie in (0, 1e-3], got {step}")
+    n = _angular_steps(step, phi_max)
+    if n > _MAX_STEPS:
+        raise InvalidParameterError(f"step {step} takes {n} steps to phi_max, more than {_MAX_STEPS}")
     lam = beta * (beta + 1.0) / (1.0 + c * c)
     grid, f, fp = _rk4_angular(lam, step, phi_max)
     if verify:
@@ -522,7 +563,9 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
                 f"step-halving disagreement {max(df, dfp):.3e} above {tol:.3e}",
                 log=[("sup_df", df), ("sup_dfp", dfp)],
             )
-    return RadialProfile(beta, c, grid, f, fp, 1.0, step)
+    prof = RadialProfile(beta, c, grid, f, fp, 1.0, step)
+    prof._p = _memoized(("cot", step, n), n, 8 * (n + 1), lambda: -np.cos(grid) / np.sin(grid))
+    return prof
 
 
 def _bracketed_newton(fun, a, b, fa, fb, tol=1e-13, max_iter=120):

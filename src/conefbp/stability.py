@@ -62,7 +62,7 @@ class StabilityReport:
         return asdict(self)
 
 
-def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport:
+def stability_margin(c, step=_SWEEP_STEP, with_steklov=False, sol=None) -> StabilityReport:
     """Evaluate margin = g'(phi0) - H1 g(phi0) for the slope-c cone.
 
     The product form avoids dividing by H1, so the flat cone (H1 = 0) is
@@ -73,9 +73,11 @@ def stability_margin(c, step=_SWEEP_STEP, with_steklov=False) -> StabilityReport
     stays None on the flat cone c = 0, whose free boundary has no mean
     curvature to weight the quotient by.  A margin that overflows, as
     H1 g(phi0) does from c = 53.28 at step 1e-3, raises
+    InvalidParameterError.  sol, when given, is the symmetric solution
+    at this c and step; a solution at another c or step raises
     InvalidParameterError.
     """
-    sol = symmetric_solution(c, step=step)
+    sol = _solution(sol, c, step)
     g = beta_half_profile(c, step=step)
     if sol.phi0 <= g.grid[-1]:
         gv, gp = g.value_and_deriv(sol.phi0)
@@ -127,6 +129,9 @@ def find_critical_c0(bracket, tol, step=_SWEEP_STEP, record=None) -> float:
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        # a tol below the double spacing of the bracket leaves mid on an end
+        if not lo < mid < hi:
+            break
         r = stability_margin(mid, step=step)
         if record is not None:
             record.append(r)
@@ -209,7 +214,7 @@ def radial_instability_witness(c, F, step=_SWEEP_STEP):
     return float(lhs), float(rhs)
 
 
-def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> float:
+def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP, sol=None) -> float:
     """Minimum of the discrete boundary Rayleigh quotient on (1/R, R).
 
     Fields on a grid uniform in log r and in phi on [0, phi0] vanish at
@@ -222,7 +227,8 @@ def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> floa
     L)^-1 e as its last pivot, so no matrix is built.  Refined, mu tends
     to 1/4 + pi^2 / (4 log^2 R) and the result to the exact annulus
     minimum, which exceeds the R = inf ratio of ``stability_margin`` by
-    O(1/log^2 R).
+    O(1/log^2 R).  sol, when given, is the symmetric solution at this c
+    and step, as in ``stability_margin``.
     """
     c = float(c)
     R = float(R)
@@ -232,7 +238,18 @@ def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP) -> floa
         raise InvalidParameterError("annulus ratio R must be finite and at least 4")
     if as_count(num_r, "num_r") < 3 or as_count(num_phi, "num_phi") < 2:
         raise InvalidParameterError("annulus grid needs num_r >= 3 and num_phi >= 2")
-    return _annulus_quotient(symmetric_solution(c, step=step), R, num_r, num_phi)
+    return _annulus_quotient(_solution(sol, c, step), R, num_r, num_phi)
+
+
+def _solution(sol, c, step):
+    """sol, checked to be the symmetric solution at slope c and step, or that solution built."""
+    if sol is None:
+        return symmetric_solution(c, step=step)
+    if sol.c != float(c) or sol.profile.step != float(step):
+        raise InvalidParameterError(
+            f"given solution has slope {sol.c} and step {sol.profile.step}, not {float(c)} and {float(step)}"
+        )
+    return sol
 
 
 def _annulus_quotient(sol, R, num_r, num_phi) -> float:

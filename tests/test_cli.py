@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from conefbp import cli, stability
 from conefbp.cli import _json_bytes, _worker_count, main
+from conefbp.ode import symmetric_solution
+from conefbp.stability import stability_margin, steklov_min_quotient
 
 
 def read_json(path):
@@ -106,6 +109,28 @@ class TestSingleCommands:
         assert rc == 0
         payload = read_json(tmp_path / "steklov_c0.2_R8.json")
         assert payload["lambda"] > payload["closed_form"]
+
+
+    def test_steklov_builds_one_solution(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return symmetric_solution(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "symmetric_solution", counted)
+        monkeypatch.setattr(stability, "symmetric_solution", counted)
+        assert main(["steklov", "--c", "0.2", "--R", "32", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        payload = read_json(tmp_path / "steklov_c0.2_R32.json")
+        assert payload["lambda"] == steklov_min_quotient(0.2, 32.0)
+        assert payload["closed_form"] == stability_margin(0.2).ratio
+
+    def test_critical_c_below_the_double_spacing(self, tmp_path):
+        assert main(["critical-c", "--tol", "1e-300", "--out", str(tmp_path)]) == 0
+
+    def test_profile_step_count_bounded(self, tmp_path):
+        assert main(["profile", "--c", "0.3", "--step", "1e-12", "--out", str(tmp_path)]) == 2
 
 
 class TestExitCodes:

@@ -210,6 +210,15 @@ class TestIntegrateProfile:
         with pytest.raises(InvalidParameterError, match="overflows"):
             beta_half_profile(1e300)
 
+    def test_step_count_bounded_before_allocation(self, monkeypatch):
+        # 2.2e12 steps would ask numpy for 16 TiB; the bound of 2^20 steps
+        # on [10 step, phi_max] rejects them before any array is made
+        monkeypatch.setattr(ode, "_rk4_angular", None)
+        for step, phi_max in ((1e-12, 2.2), (2e-6, 2.2), (1e-7, 0.5)):
+            with pytest.raises(InvalidParameterError, match="more than 1048576"):
+                integrate_profile(1.0, 0.3, phi_max, step=step)
+        assert ode._angular_steps(2.1e-6, 2.2) <= 2**20
+
 
 def _close_to(ref, got, rel=1e-12):
     ref = np.asarray(ref)
@@ -302,6 +311,50 @@ class TestRk4Kernel:
             err = np.max(np.abs(dev[i, j] - ref))
             assert err <= max(1e-14 * np.max(np.abs(ref)), floor), (i, j, err)
 
+    @pytest.mark.parametrize("lam", [2.0, -0.25, 0.01])
+    def test_pair_polynomial_against_extended_precision(self, monkeypatch, lam):
+        # every pair step of the stored rerun polynomial at step 1e-3: its
+        # deviation from I against the long-double product of two half
+        # steps of the scalar stage loop, from (1, 0) and (0, 1)
+        monkeypatch.setattr(ode, "_MEMO", {})
+        integrate_profile(1.0, 0.3, 2.2, step=1e-3)
+        h = 5e-4
+        n = ode._angular_steps(h, 2.2) // 2
+        dev = ode._deviations(ode._MEMO[("pairs", h, n)], lam)
+        assert dev.shape == (2, 2, n)
+        ld = np.longdouble
+        x = -1.0 / np.tan((10.0 + 0.5 * np.arange(4 * n + 1)) * h)
+        p = x.astype(ld)
+        q = np.full(4 * n + 1, -ld(lam))
+        # half step A on half-nodes 4j .. 4j + 2, B on 4j + 2 .. 4j + 4
+        first = [[v[0:-1:4], v[1::4], v[2::4]] for v in (p, q)]
+        second = [[v[2::4], v[3::4], v[4::4]] for v in (p, q)]
+        one, zero = np.ones(n, dtype=ld), np.zeros(n, dtype=ld)
+        (_, a), (_, c) = scalar_rk4(one, zero, ld(h), *first)
+        (_, b), (_, d) = scalar_rk4(zero, one, ld(h), *first)
+        (_, a), (_, c) = scalar_rk4(a, c, ld(h), *second)
+        (_, b), (_, d) = scalar_rk4(b, d, ld(h), *second)
+        # the floor of test_deviations_against_extended_precision
+        for (i, j), ref in (((0, 0), a - 1), ((0, 1), b), ((1, 0), c), ((1, 1), d - 1)):
+            floor = 2.0**-62 if i == j else 0.0
+            err = np.max(np.abs(dev[i, j] - ref))
+            assert err <= max(1e-14 * np.max(np.abs(ref)), floor), (i, j, err)
+
+    @pytest.mark.parametrize("beta", [1.0, -0.5])
+    @pytest.mark.parametrize("c", [0.0, 0.5884, 3.0, 40.0])
+    def test_stored_rerun_against_evaluate_then_multiply(self, monkeypatch, beta, c):
+        # the one array whose last bits may depend on the memo
+        lam = beta * (beta + 1.0) / (1.0 + c * c)
+        monkeypatch.setattr(ode, "_MEMO", {})
+        monkeypatch.setattr(ode, "_MEMO_CAP", 0)
+        cold = ode._rk4_halved(lam, 1e-3, 2.2)
+        assert not ode._MEMO
+        monkeypatch.setattr(ode, "_MEMO_CAP", 2**20)
+        warm = ode._rk4_halved(lam, 1e-3, 2.2)
+        assert list(ode._MEMO) == [("pairs", 5e-4, 2195)]
+        for a, b in zip(cold, warm):
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
+
     @pytest.mark.parametrize("beta,c", [(1.0, 0.3), (-0.5, 1.0), (2.0, 0.0)])
     def test_stored_run_against_scalar_loop_in_long_double(self, beta, c):
         # the whole stored run (36,034 steps) against the scalar stage loop
@@ -362,7 +415,12 @@ class TestRk4Kernel:
     @pytest.mark.parametrize("step", [1e-3, 2.0**-13])
     def test_runs_independent_of_block_size(self, monkeypatch, step):
         # blocks start on span ends, so the block size moves no bit of the
-        # stored angular run, its tail or the paired halving rerun
+        # stored angular run, its tail or the paired halving rerun; a warm
+        # memo serves every block size the same stored rerun polynomial at
+        # step 1e-3, and at step 2^-13 none is stored
+        monkeypatch.setattr(ode, "_MEMO", {})
+        integrate_profile(-0.5, 0.3, 2.2, step=step).value_and_deriv_at_tau(5.0)
+        assert len(ode._MEMO) == (4 if step == 1e-3 else 0)
         runs = []
         for block in (8, 64, ode._BLOCK):
             monkeypatch.setattr(ode, "_BLOCK", block)
@@ -373,7 +431,7 @@ class TestRk4Kernel:
 
 
 class TestCoefficientMemo:
-    """The lam-free coefficients of single-block runs, kept across runs as read-only arrays."""
+    """Whole single-block runs' lam-free coefficients, kept across runs as read-only arrays."""
 
     @pytest.mark.parametrize("c", [0.0, 0.5884, 3.0, 40.0])
     def test_margins_bitwise_equal_cold_and_warm(self, monkeypatch, c):
@@ -385,8 +443,8 @@ class TestCoefficientMemo:
         monkeypatch.setattr(ode, "_MEMO", {})
         stability_margin(0.2, step=1e-3)
         stored = dict(ode._MEMO)
-        # the angular run, the halving rerun and the tail
-        assert len(stored) == 3
+        # the angular run, the halving rerun, the grid's -cot and the tail
+        assert len(stored) == 4
         warm = stability_margin(c, step=1e-3)
         assert ode._MEMO.keys() == stored.keys()
         assert all(ode._MEMO[key] is co for key, co in stored.items())
@@ -394,17 +452,23 @@ class TestCoefficientMemo:
 
     def test_stays_under_its_cap(self, monkeypatch):
         monkeypatch.setattr(ode, "_MEMO", {})
-        for step in (1e-3, 2.0**-13, 2.0**-14):
-            stability_margin(0.4, step=step)
-        # multi-block runs (the default step and finer) never enter
-        assert {key[1] for key in ode._MEMO} == {1e-3, 5e-4, 40e-3}
-        # whole runs, the last key entry being their steps of h: 2,190
-        # angular steps, the rerun's 4,390 half steps and 909 tail steps,
-        # each 12 doubles (96 bytes)
-        assert sorted(key[-1] for key in ode._MEMO) == [909, 2190, 4390]
-        assert all(co.shape == (3, 2, 2, key[-1]) for key, co in ode._MEMO.items())
+        stability_margin(0.4, step=1e-3)
+        tau0 = ode.tau_of_phi(1e-3 * 2200)
+        # 2,190 angular steps, the rerun's 2,195 pair steps, the 2,191 grid
+        # nodes and 909 tail steps
+        shapes = {
+            ("angular", 1e-3, 2190): (3, 2, 2, 2190),
+            ("pairs", 5e-4, 2195): (5, 2, 2, 2195),
+            ("cot", 1e-3, 2190): (2191,),
+            ("tail", 40e-3, tau0, 909): (3, 2, 2, 909),
+        }
+        assert {key: co.shape for key, co in ode._MEMO.items()} == shapes
         total = sum(v.nbytes for v in ode._MEMO.values())
-        assert total == 96 * (2190 + 4390 + 909) <= ode._MEMO_CAP
+        assert total == 666_232 <= ode._MEMO_CAP
+        # multi-block runs (the default step and finer) never enter
+        for step in (2.0**-13, 2.0**-14):
+            stability_margin(0.4, step=step)
+        assert {key: co.shape for key, co in ode._MEMO.items()} == shapes
         # a full memo admits nothing more and still serves what it holds
         monkeypatch.setattr(ode, "_MEMO_CAP", total)
         integrate_profile(1.0, 0.4, 2.0, step=1e-3)
@@ -413,32 +477,35 @@ class TestCoefficientMemo:
     def test_stored_arrays_read_only(self, monkeypatch):
         monkeypatch.setattr(ode, "_MEMO", {})
         integrate_profile(-0.5, 0.3, 2.2, step=1e-3).value_and_deriv_at_tau(5.0)
-        assert len(ode._MEMO) == 3
-        # served blocks are views into the memo: the whole step-1e-3 run,
-        # and the second of the two blocks of a step-5e-4 run
-        rerun = ode._MEMO[("angular", 5e-4, 4390)]
-        blocks = [ode._angular_coefficients(1e-3, 2190)(0, 2190), ode._angular_coefficients(5e-4, 4390)(2200, 4390)]
-        assert np.shares_memory(blocks[1], rerun)
-        for co in [*ode._MEMO.values(), *blocks]:
+        assert len(ode._MEMO) == 4
+        # every block a warm run reads is a view into the memo
+        served = []
+        deviations = ode._deviations
+        monkeypatch.setattr(ode, "_deviations", lambda co, lam: served.append(co) or deviations(co, lam))
+        p = integrate_profile(-0.5, 0.3, 2.2, step=1e-3)
+        p.value_and_deriv_at_tau(5.0)
+        assert len(served) == 3
+        assert any(p._p is co for co in ode._MEMO.values())
+        for co in [*ode._MEMO.values(), *served]:
+            assert any(np.shares_memory(co, kept) for kept in ode._MEMO.values())
             with pytest.raises(ValueError, match="read-only"):
-                co[0, 0, 0, 0] = 0.0
+                co[(0,) * co.ndim] = 0.0
 
-    def test_stored_rerun_serves_a_two_block_run(self, monkeypatch):
-        # the halving rerun of a step-1e-3 margin is the whole angular run
-        # at step 5e-4, which _run applies in two blocks
-        assert ode._angular_steps(5e-4, 2.2) == 4390 > ode._BLOCK
+    def test_second_derivs_bitwise_equal_cold_and_warm(self, monkeypatch):
         monkeypatch.setattr(ode, "_MEMO", {})
-        cold = integrate_profile(1.0, 0.3, 2.2, step=5e-4, verify=False)
-        assert not ode._MEMO
-        stability_margin(0.2, step=1e-3)
-        assert ("angular", 5e-4, 4390) in ode._MEMO
-        built = []
-        coefficients = ode._coefficients
-        monkeypatch.setattr(ode, "_coefficients", lambda *args: built.append(args) or coefficients(*args))
-        warm = integrate_profile(1.0, 0.3, 2.2, step=5e-4, verify=False)
-        assert not built
-        assert np.array_equal(warm.values, cold.values)
-        assert np.array_equal(warm.derivs, cold.derivs)
+        monkeypatch.setattr(ode, "_MEMO_CAP", 0)
+        cold = symmetric_solution(0.3, step=1e-3).profile
+        assert cold._p is None
+        monkeypatch.undo()
+        monkeypatch.setattr(ode, "_MEMO", {})
+        symmetric_solution(0.3, step=1e-3)
+        warm = symmetric_solution(0.3, step=1e-3).profile
+        assert warm._p is not None
+        assert np.array_equal(warm.second_derivs(), cold.second_derivs())
+        # a profile built by hand forms -cot on its own grid
+        hand = ode.RadialProfile(warm.beta, warm.c, warm.grid + 1e-4, warm.values, warm.derivs, warm.f0, warm.step)
+        expected = -np.cos(hand.grid) / np.sin(hand.grid) * hand.derivs - hand.lam * hand.values
+        assert np.array_equal(hand.second_derivs(), expected)
 
 
 class TestFirstZero:

@@ -126,6 +126,26 @@ class TestCriticalSlope:
         assert len(record) >= 8
         assert all(hasattr(r, "margin") for r in record)
 
+    def test_tol_below_the_double_spacing_stops(self, monkeypatch):
+        # at tol = 1e-300 the midpoint lands on a bracket end once the
+        # bracket is one ulp wide; the bisection must stop there
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 200:
+                raise RuntimeError("bisection does not stop")
+            return stability_margin(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "stability_margin", counted)
+        record = []
+        c0 = find_critical_c0((0.0, 10.0), 1e-300, record=record)
+        assert abs(c0 - C0_ANCHOR) < 2e-6
+        # the last bracket is two adjacent doubles
+        lo = max(r.c for r in record if r.margin > 0.0)
+        hi = min(r.c for r in record if r.margin <= 0.0)
+        assert math.nextafter(lo, math.inf) == hi and c0 in (lo, hi)
+
     def test_invalid_bracket(self):
         with pytest.raises(InvalidBracketError):
             find_critical_c0((2.0, 10.0), 1e-3)  # both unstable
@@ -334,6 +354,19 @@ class TestSteklov:
         monkeypatch.setattr(stability, "symmetric_solution", counted)
         assert stability_margin(c, with_steklov=True).steklov_lambda == lam
         assert len(calls) == 1
+
+    def test_given_solution_is_used_and_checked(self, monkeypatch):
+        sol = symmetric_solution(0.2, step=1e-3)
+        lam = steklov_min_quotient(0.2, 32.0)
+        rep = stability_margin(0.2)
+        monkeypatch.setattr(stability, "symmetric_solution", None)
+        assert steklov_min_quotient(0.2, 32.0, sol=sol) == lam
+        assert stability_margin(0.2, sol=sol) == rep
+        for c, step in ((0.3, 1e-3), (0.2, 2.0**-10)):
+            with pytest.raises(InvalidParameterError, match="given solution"):
+                steklov_min_quotient(c, 32.0, step=step, sol=sol)
+            with pytest.raises(InvalidParameterError, match="given solution"):
+                stability_margin(c, step=step, sol=sol)
 
     @pytest.mark.parametrize("R", [1e3, 1e6])
     def test_large_annulus_matches_series_oracle(self, R):
