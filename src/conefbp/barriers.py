@@ -15,7 +15,8 @@ superharmonicity sign is exact: its bracket peaks at the pole.  Every
 other audit here is a pure decision over sampled angles or grid nodes,
 taken as array expressions, with worst-value reporting; the existential
 constants of the comparison argument are replaced by a dyadic search
-that emits checkable certificates.
+that emits checkable certificates.  The layer has no step argument: it
+builds and accepts symmetric solutions at ode.DEFAULT_STEP only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, as_count, as_slope
 from .grid import dirichlet_solve, make_field
-from .ode import symmetric_solution
+from .ode import checked_solution, symmetric_solution
 
 BETA = -0.5
 DYADIC_OFFSETS = tuple(float(2**k) for k in range(2, 11))
@@ -161,18 +162,16 @@ def audit_pair(c: float, M: float, num: int = 2001, sol=None) -> BarrierReport:
 
     The profile is sampled once on num angles in [0.02, phi0]: there the
     decomposition margin (the most positive I + II + III) must be
-    strictly negative and the zero-set gradient must stay >= 1.
+    strictly negative and the zero-set gradient must stay >= 1.  A given
+    sol is checked only when the superharmonicity audit passes.
     """
     _check_num(num)
-    if sol is not None and sol.c != c:
-        raise InvalidParameterError(f"given solution has slope {sol.c}, not {c}")
     config = BarrierConfig(c=c, M=M)
     worst = laplacian_sign_audit(config)
     report = BarrierReport(config=config, laplacian_sign_ok=worst <= 0.0, laplacian_worst_value=worst)
     if worst > 0.0:
         return report
-    if sol is None:
-        sol = symmetric_solution(c)
+    sol = checked_solution(sol, c)
     phi = np.linspace(0.02, sol.phi0, num)
     f, fp = sol.profile.sample(phi)
     t1, t2, t3 = decomposition_terms(f, fp, phi, c, M)
@@ -284,12 +283,9 @@ def supersolution_lift_check(config: BarrierConfig, nr: int = 128, nphi: int = 1
     sphere.  Raises InvalidParameterError when no plane point or no
     sphere column is left to audit.
     """
-    if sol is None:
-        sol = symmetric_solution(config.c)
-    elif sol.c != config.c:
-        raise InvalidParameterError(f"given solution has slope {sol.c}, not {config.c}")
     if config.phi2 is None:
         raise InvalidParameterError("lift check needs the pasting angle phi2")
+    sol = checked_solution(sol, config.c)
     phi2 = float(config.phi2)
     if not sol.phi0 < phi2:
         raise InvalidParameterError("pasting angle must lie beyond the free boundary angle")

@@ -6,7 +6,9 @@ appends one line to run_records.jsonl with the subcommand's parameter
 map, the tool version and the wall time.  Identical parameters and version
 reproduce byte-identical primary artifacts; the run record is the only
 file carrying timing.  Exit codes: 0 success, 2 invalid arguments,
-3 numerical non-convergence.
+3 numerical non-convergence.  Single reports integrate profiles at
+ode.DEFAULT_STEP (2^-13), the library's default; only the scans
+critical-c and sweep default to the coarser _SCAN_STEP.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ _SWEEP_COLUMNS = {
 }
 # a typo in a sweep count must fail as an invalid argument, not as an allocation
 _MAX_SWEEP_POINTS = 100_000
+# default step of the scans, which integrate a profile pair per point
+_SCAN_STEP = 1e-3
 
 
 def _json_bytes(obj) -> bytes:
@@ -107,7 +111,7 @@ def _cmd_phi0(args, out):
 
 
 def _cmd_stability(args, out):
-    rep = stability_margin(args.c, step=args.step, with_steklov=args.steklov)
+    rep = stability_margin(args.c, step=args.step)
     payload = rep.to_dict()
     name = f"stability_c{args.c:g}.json"
     _write_artifact(out, name, _json_bytes(payload))
@@ -199,8 +203,10 @@ def _cmd_weiss(args, out):
 
 
 def _cmd_barriers(args, out):
+    if args.M is None and args.phi2 is not None:
+        raise InvalidParameterError("--phi2 sets the lift's pasting angle and needs --M")
     if args.M is not None:
-        sol = symmetric_solution(args.c, step=args.step)
+        sol = symmetric_solution(args.c)
         phi2 = args.phi2 if args.phi2 is not None else sol.phi0 + 0.1
         cfg = BarrierConfig(c=args.c, M=args.M, phi2=phi2)
         lift = supersolution_lift_check(cfg, sol=sol)
@@ -347,7 +353,6 @@ _FLAGS = {
     "plot-data": {"action": "store_true"},
     "beta": {"type": float, "default": 1.0},
     "phi-max": {"type": float, "default": PHI_CAP},
-    "steklov": {"action": "store_true"},
     "lo": {"type": float, "default": 0.0},
     "hi": {"type": float, "default": 10.0},
     "R": {"type": float, "default": 32.0},
@@ -362,18 +367,18 @@ _COMMANDS = {
     "profile": (_cmd_profile, "integrate one separated profile",
                 "c step out plot-data beta phi-max", {}),
     "phi0": (_cmd_phi0, "free boundary angle of the symmetric solution", "c step out", {}),
-    "stability": (_cmd_stability, "stability margin at one slope", "c step out steklov", {}),
+    "stability": (_cmd_stability, "stability margin at one slope", "c step out", {}),
     "critical-c": (_cmd_critical_c, "bisect the critical slope", "step tol out lo hi",
-                   {"step": 1e-3}),
+                   {"step": _SCAN_STEP}),
     "steklov": (_cmd_steklov, "discrete boundary Rayleigh quotient minimum", "c step grid out R",
-                {"c": 0.2, "grid": (257, 129), "step": 1e-3}),
+                {"c": 0.2, "grid": (257, 129)}),
     "minimize": (_cmd_minimize, "minimize the penalized energy", "c step grid out", {}),
     "weiss": (_cmd_weiss, "scale monitor trace for the symmetric solution",
               "c step grid out radii", {}),
-    "barriers": (_cmd_barriers, "barrier certification at one slope", "c step out M phi2", {}),
+    "barriers": (_cmd_barriers, "barrier certification at one slope", "c out M phi2", {}),
     "morgan": (_cmd_morgan, "plane-through-vertex minimality threshold", "out k", {}),
     "sweep": (_cmd_sweep, "map a subcommand over a parameter grid", "step grid out",
-              {"step": 1e-3, "grid": (64, 64)}),
+              {"step": _SCAN_STEP, "grid": (64, 64)}),
 }
 
 

@@ -64,8 +64,10 @@ class AxisymField:
         return replace(self, values=values)
 
     def same_grid(self, other: "AxisymField") -> bool:
+        """Whether other samples the same cone on the same nodes."""
         return (
-            self.values.shape == other.values.shape
+            self.c == other.c
+            and self.values.shape == other.values.shape
             and np.array_equal(self.r, other.r)
             and np.array_equal(self.phi, other.phi)
         )

@@ -281,7 +281,7 @@ def compare_to_symmetric(fld: AxisymField, reference: AxisymField):
     The sup distance is relative to the reference peak, which must be positive.
     """
     if not fld.same_grid(reference):
-        raise GridMismatchError("fields do not share a grid")
+        raise GridMismatchError("fields do not share a cone and a grid")
     gap = energy(fld) - energy(reference)
     peak = float(reference.values.max())
     if not peak > 0.0:

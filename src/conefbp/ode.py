@@ -71,6 +71,7 @@ __all__ = [
     "integrate_profile",
     "first_zero",
     "symmetric_solution",
+    "checked_solution",
     "beta_half_profile",
 ]
 
@@ -680,6 +681,17 @@ def symmetric_solution(c, step=DEFAULT_STEP) -> SymmetricSolution:
         sin_phi0=sin0,
         H1=-t0 / sin0,
     )
+
+
+def checked_solution(sol, c, step=DEFAULT_STEP) -> SymmetricSolution:
+    """sol, checked to be the symmetric solution at slope c and step, or that solution built."""
+    if sol is None:
+        return symmetric_solution(c, step=step)
+    if sol.c != float(c) or sol.profile.step != float(step):
+        raise InvalidParameterError(
+            f"given solution has slope {sol.c} and step {sol.profile.step}, not {float(c)} and {float(step)}"
+        )
+    return sol
 
 
 def beta_half_profile(c, step=DEFAULT_STEP) -> RadialProfile:

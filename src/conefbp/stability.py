@@ -12,7 +12,8 @@ log-r grid the discrete quotient separates, so its exact minimum (a
 closed-form radial mode and one angular elimination) cross-checks the
 closed form.  A radial test function exhibits the loss of stability
 for large slopes, and the critical slope is bisected from the sign of
-the margin.
+the margin.  Every function here integrates its profiles at
+ode.DEFAULT_STEP unless given another step.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     PropertyViolationError,
     as_count,
 )
-from .ode import beta_half_profile, symmetric_solution
+from .ode import DEFAULT_STEP, beta_half_profile, checked_solution, symmetric_solution
 from .quadrature import simpson_uniform, trapezoid_weights
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "radial_instability_witness",
     "steklov_min_quotient",
 ]
-
-_SWEEP_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -56,28 +55,24 @@ class StabilityReport:
     margin: float
     stable: bool
     ratio: float | None = None
-    steklov_lambda: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def stability_margin(c, step=_SWEEP_STEP, with_steklov=False, sol=None) -> StabilityReport:
+def stability_margin(c, step=DEFAULT_STEP, sol=None) -> StabilityReport:
     """Evaluate margin = g'(phi0) - H1 g(phi0) for the slope-c cone.
 
     The product form avoids dividing by H1, so the flat cone (H1 = 0) is
     regular.  The equivalent ratio -(sin/cos)(g'/g) at phi0 is reported
     only when the zero sits strictly beyond the equator, where the two
-    forms are algebraically equivalent.  with_steklov adds the discrete
-    quotient minimum on (1/32, 32) at the default 257 x 129 grid; it
-    stays None on the flat cone c = 0, whose free boundary has no mean
-    curvature to weight the quotient by.  A margin that overflows, as
-    H1 g(phi0) does from c = 53.28 at step 1e-3, raises
-    InvalidParameterError.  sol, when given, is the symmetric solution
-    at this c and step; a solution at another c or step raises
+    forms are algebraically equivalent.  A margin that overflows, as
+    H1 g(phi0) does from c = 53.28 at the default step and at 1e-3,
+    raises InvalidParameterError.  sol, when given, is the symmetric
+    solution at this c and step; a solution at another c or step raises
     InvalidParameterError.
     """
-    sol = _solution(sol, c, step)
+    sol = checked_solution(sol, c, step)
     g = beta_half_profile(c, step=step)
     if sol.phi0 <= g.grid[-1]:
         gv, gp = g.value_and_deriv(sol.phi0)
@@ -94,9 +89,6 @@ def stability_margin(c, step=_SWEEP_STEP, with_steklov=False, sol=None) -> Stabi
     ratio = None
     if sol.t0 < -1e-8:
         ratio = -(sol.sin_phi0 / sol.t0) * (gp / gv)
-    lam = None
-    if with_steklov and c > 0.0:
-        lam = _annulus_quotient(sol, 32.0, 257, 129)
     return StabilityReport(
         c=float(c),
         phi0=sol.phi0,
@@ -106,11 +98,10 @@ def stability_margin(c, step=_SWEEP_STEP, with_steklov=False, sol=None) -> Stabi
         margin=margin,
         stable=bool(margin >= 0.0),
         ratio=ratio,
-        steklov_lambda=lam,
     )
 
 
-def find_critical_c0(bracket, tol, step=_SWEEP_STEP, record=None) -> float:
+def find_critical_c0(bracket, tol, step=DEFAULT_STEP, record=None) -> float:
     """Bisect the stability margin sign change inside ``bracket``.
 
     Requires margin > 0 at the low end and < 0 at the high end; each
@@ -184,7 +175,7 @@ def _check_radial_support(F, lo=0.02, hi=0.98):
     return peak
 
 
-def radial_instability_witness(c, F, step=_SWEEP_STEP):
+def radial_instability_witness(c, F, step=DEFAULT_STEP):
     """Surface and bulk integrals of the radial second-variation test.
 
     Returns (lhs, rhs) with lhs the free-boundary surface integral of
@@ -214,7 +205,7 @@ def radial_instability_witness(c, F, step=_SWEEP_STEP):
     return float(lhs), float(rhs)
 
 
-def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP, sol=None) -> float:
+def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=DEFAULT_STEP, sol=None) -> float:
     """Minimum of the discrete boundary Rayleigh quotient on (1/R, R).
 
     Fields on a grid uniform in log r and in phi on [0, phi0] vanish at
@@ -238,27 +229,12 @@ def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=_SWEEP_STEP, sol=Non
         raise InvalidParameterError("annulus ratio R must be finite and at least 4")
     if as_count(num_r, "num_r") < 3 or as_count(num_phi, "num_phi") < 2:
         raise InvalidParameterError("annulus grid needs num_r >= 3 and num_phi >= 2")
-    return _annulus_quotient(_solution(sol, c, step), R, num_r, num_phi)
-
-
-def _solution(sol, c, step):
-    """sol, checked to be the symmetric solution at slope c and step, or that solution built."""
-    if sol is None:
-        return symmetric_solution(c, step=step)
-    if sol.c != float(c) or sol.profile.step != float(step):
-        raise InvalidParameterError(
-            f"given solution has slope {sol.c} and step {sol.profile.step}, not {float(c)} and {float(step)}"
-        )
-    return sol
-
-
-def _annulus_quotient(sol, R, num_r, num_phi) -> float:
-    """``steklov_min_quotient`` for a built solution and a checked grid."""
+    sol = checked_solution(sol, c, step)
     n = num_r - 1
     h = 2.0 * math.log(R) / n
     mu = 4.0 * (math.sinh(0.25 * h) ** 2 + math.sin(0.5 * math.pi / n) ** 2) / h**2
     phi = np.linspace(0.0, sol.phi0, num_phi)
-    d = (mu * np.sin(phi) * trapezoid_weights(phi) / (1.0 + sol.c * sol.c)).tolist()
+    d = (mu * np.sin(phi) * trapezoid_weights(phi) / (1.0 + c * c)).tolist()
     b = (np.sin(0.5 * (phi[1:] + phi[:-1])) / (phi[1] - phi[0])).tolist()
     # s is each pivot less the next edge weight: the pole side in series
     # with edge b, in parallel with the mass d_j

@@ -112,6 +112,9 @@ class TestDecomposition:
         # a report labelled c = 0.02 must not be built from the c = 0.3 profile
         with pytest.raises(InvalidParameterError, match="slope"):
             audit_pair(0.02, 16.0, sol=sol03)
+        # the barrier layer has no step argument: it reads the default-step solution only
+        with pytest.raises(InvalidParameterError, match="step"):
+            audit_pair(0.02, 16.0, sol=symmetric_solution(0.02, step=1e-3))
 
     def test_vanishing_slope_kills_third_term(self):
         phi = np.linspace(0.3, 1.2, 50)
@@ -224,6 +227,8 @@ class TestSupersolutionLift:
         cfg = BarrierConfig(c=0.02, M=16.0, phi2=sol03.phi0 + 0.1)
         with pytest.raises(InvalidParameterError, match="slope"):
             supersolution_lift_check(cfg, nr=64, nphi=64, sol=sol03)
+        with pytest.raises(InvalidParameterError, match="step"):
+            supersolution_lift_check(cfg, nr=64, nphi=64, sol=symmetric_solution(0.02, step=1e-3))
 
     def test_plane_audit_matches_edge_loop(self):
         # the per-edge loop the vectorized audit replaced, kept as its reference

@@ -36,13 +36,8 @@ class TestSingleCommands:
         assert rc == 0
         payload = read_json(tmp_path / "stability_c0.2.json")
         assert payload["stable"] is True
-
-    def test_stability_flat_cone_with_steklov(self, tmp_path):
-        rc = main(["stability", "--c", "0", "--step", "1e-3", "--steklov", "--out", str(tmp_path)])
-        assert rc == 0
-        text = (tmp_path / "stability_c0.json").read_text()
-        assert '"steklov_lambda": null' in text
-        assert abs(json.loads(text)["margin"] - 0.26967630174) < 1e-10
+        assert main(["stability", "--c", "0", "--step", "1e-3", "--out", str(tmp_path)]) == 0
+        assert abs(read_json(tmp_path / "stability_c0.json")["margin"] - 0.26967630174) < 1e-10
 
     def test_stability_where_phi0_rounds_to_pi(self, tmp_path):
         rc = main(["stability", "--c", "20", "--out", str(tmp_path)])
@@ -89,7 +84,7 @@ class TestSingleCommands:
         assert payload["energy"] <= payload["energy_reference"] + 1e-8
 
     def test_barriers_lift(self, tmp_path):
-        rc = main(["barriers", "--c", "0.02", "--M", "16", "--step", "1e-3", "--out", str(tmp_path)])
+        rc = main(["barriers", "--c", "0.02", "--M", "16", "--out", str(tmp_path)])
         assert rc == 0
         payload = read_json(tmp_path / "barriers_c0.02.json")
         assert payload["lift_gradient_ok"] is True
@@ -180,10 +175,20 @@ class TestExitCodes:
             ["morgan", "--k", "3", "--step", "1e-3"],
             # the sweep sizes its own pool
             ["sweep", "c=0:1:2", "phi0", "--jobs", "2"],
+            # the certificate search and the lift integrate at the library's step
+            ["barriers", "--c", "0.1", "--step", "1e-3"],
+            # steklov writes the quotient
+            ["stability", "--c", "0.2", "--steklov"],
         ],
     )
     def test_flag_the_subcommand_does_not_read(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_pasting_angle_without_offset_rejected(self, tmp_path, capsys):
+        # phi2 sets the lift, which runs only with --M; the search would ignore it
+        assert main(["barriers", "--c", "0.1", "--phi2", "2.5", "--out", str(tmp_path)]) == 2
+        assert "--phi2" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -185,9 +185,14 @@ class TestCompare:
         assert gap == 0.0
         assert touch  # zero set reaches the puncture for the symmetric solution
 
-    def test_grid_mismatch(self, sol03):
+    def test_grid_mismatch(self, sol01, sol03):
         a = field_from_solution(sol03, 64, 64)
         b = field_from_solution(sol03, 32, 32)
+        with pytest.raises(GridMismatchError):
+            compare_to_symmetric(a, reference=b)
+        # same nodes, different cones: the energies weigh 1/(1 + c^2) differently
+        a = field_from_solution(sol01, 32, 32)
+        assert np.array_equal(a.r, b.r) and np.array_equal(a.phi, b.phi)
         with pytest.raises(GridMismatchError):
             compare_to_symmetric(a, reference=b)
 

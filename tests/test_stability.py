@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conefbp import stability
+from conefbp import ode, stability
 from conefbp.errors import (
     InvalidBracketError,
     InvalidParameterError,
@@ -36,6 +36,8 @@ class TestStabilityMargin:
         gp = (legendre_series(-0.25, math.pi / 2 + h) - legendre_series(-0.25, math.pi / 2 - h)) / (2 * h)
         assert abs(rep.margin - gp) < 1e-6
         assert rep.ratio is None
+        # the quotient needs curvature, which c = 0 lacks; the margin does not
+        assert abs(stability_margin(0.0, step=1e-3).margin - 0.26967630174) < 1e-10
 
     def test_small_slope_stable(self):
         assert stability_margin(0.05).stable
@@ -57,7 +59,7 @@ class TestStabilityMargin:
         ],
     )
     def test_margin_beyond_the_grid_from_tau0(self, c, margin):
-        rep = stability_margin(c)
+        rep = stability_margin(c, step=1e-3)
         assert abs(rep.margin - margin) <= 1e-9 * abs(margin)
 
     @pytest.mark.parametrize("c", [12.0, 20.0])
@@ -71,58 +73,45 @@ class TestStabilityMargin:
     def test_overflowing_margin_rejected(self):
         # at step 1e-3 the margin at c = 53.27 is still finite (-1.5e308);
         # at 53.28, H1 = 1.7e308 times g(phi0) = 1.125 overflows
-        assert math.isfinite(stability_margin(53.27).margin)
+        assert math.isfinite(stability_margin(53.27, step=1e-3).margin)
         with pytest.raises(InvalidParameterError, match="slope c = 53.28"):
-            stability_margin(53.28)
+            stability_margin(53.28, step=1e-3)
 
     def test_margin_and_ratio_agree(self):
         for c in (0.1, 0.4, 0.7, 2.0):
-            rep = stability_margin(c)
+            rep = stability_margin(c, step=1e-3)
             assert rep.ratio is not None
             assert (rep.margin >= 0.0) == (rep.ratio >= 1.0)
+        assert set(rep.to_dict()) == {"c", "phi0", "H1", "g_at_phi0", "gp_at_phi0", "margin", "stable", "ratio"}
 
     def test_prefix_structure_coarse(self):
-        margins = [stability_margin(c).margin for c in np.linspace(0.0, 10.0, 41)]
+        margins = [stability_margin(c, step=1e-3).margin for c in np.linspace(0.0, 10.0, 41)]
         signs = np.sign(margins)
         assert np.count_nonzero(signs[:-1] != signs[1:]) == 1
-
-    def test_optional_quotient_field(self):
-        rep = stability_margin(0.2, with_steklov=True)
-        assert rep.steklov_lambda is not None
-        assert rep.steklov_lambda > rep.ratio
-        d = rep.to_dict()
-        assert set(d) >= {"c", "phi0", "H1", "margin", "stable", "ratio", "steklov_lambda"}
-
-    def test_optional_quotient_left_out_on_the_flat_cone(self):
-        # the quotient needs curvature, which c = 0 lacks; the margin does not
-        rep = stability_margin(0.0, with_steklov=True)
-        assert rep.steklov_lambda is None
-        assert abs(rep.margin - 0.26967630174) < 1e-10
-        assert rep.to_dict()["steklov_lambda"] is None
 
 
 class TestCriticalSlope:
     def test_bisection_anchor(self):
-        c0 = find_critical_c0((0.0, 10.0), 1e-6)
+        c0 = find_critical_c0((0.0, 10.0), 1e-6, step=1e-3)
         assert abs(c0 - C0_ANCHOR) < 2e-6
 
     def test_matches_series_oracle(self):
-        c0 = find_critical_c0((0.0, 10.0), 1e-10)
+        c0 = find_critical_c0((0.0, 10.0), 1e-10, step=1e-3)
         assert abs(c0 - series_critical_c0()) < 1e-8
 
     def test_bracket_independence(self):
-        a = find_critical_c0((0.0, 10.0), 1e-5)
-        b = find_critical_c0((a - 0.1, a + 0.1), 1e-5)
+        a = find_critical_c0((0.0, 10.0), 1e-5, step=1e-3)
+        b = find_critical_c0((a - 0.1, a + 0.1), 1e-5, step=1e-3)
         assert abs(a - b) <= 2e-5
 
     def test_margin_signs_straddle_the_root(self):
-        c0 = find_critical_c0((0.3, 1.0), 1e-5)
-        assert stability_margin(c0 - 1e-3).margin > 0.0
-        assert stability_margin(c0 + 1e-3).margin < 0.0
+        c0 = find_critical_c0((0.3, 1.0), 1e-5, step=1e-3)
+        assert stability_margin(c0 - 1e-3, step=1e-3).margin > 0.0
+        assert stability_margin(c0 + 1e-3, step=1e-3).margin < 0.0
 
     def test_record_collects_reports(self):
         record = []
-        find_critical_c0((0.0, 2.0), 1e-2, record=record)
+        find_critical_c0((0.0, 2.0), 1e-2, step=1e-3, record=record)
         assert len(record) >= 8
         assert all(hasattr(r, "margin") for r in record)
 
@@ -139,7 +128,7 @@ class TestCriticalSlope:
 
         monkeypatch.setattr(stability, "stability_margin", counted)
         record = []
-        c0 = find_critical_c0((0.0, 10.0), 1e-300, record=record)
+        c0 = find_critical_c0((0.0, 10.0), 1e-300, step=1e-3, record=record)
         assert abs(c0 - C0_ANCHOR) < 2e-6
         # the last bracket is two adjacent doubles
         lo = max(r.c for r in record if r.margin > 0.0)
@@ -148,7 +137,7 @@ class TestCriticalSlope:
 
     def test_invalid_bracket(self):
         with pytest.raises(InvalidBracketError):
-            find_critical_c0((2.0, 10.0), 1e-3)  # both unstable
+            find_critical_c0((2.0, 10.0), 1e-3, step=1e-3)  # both unstable
         with pytest.raises(InvalidParameterError):
             find_critical_c0((1.0, 0.5), 1e-3)
         for tol in (math.inf, math.nan, 0.0):
@@ -169,7 +158,7 @@ class TestRadialWitness:
         int_f2 = simpson_uniform(F(r) ** 2, r[1] - r[0])
         for c in (0.1, 0.5, 1.0, 2.0):
             sol = symmetric_solution(c, step=1e-3)
-            lhs, _ = radial_instability_witness(c, F)
+            lhs, _ = radial_instability_witness(c, F, step=1e-3)
             assert abs(lhs - 2.0 * math.pi * abs(sol.t0) * int_f2) < 1e-8 * max(lhs, 1e-3)
 
     def test_normalized_surface_integral_is_slope_invariant(self):
@@ -177,7 +166,7 @@ class TestRadialWitness:
         vals = []
         for c in (0.1, 0.5, 1.0, 2.0):
             sol = symmetric_solution(c, step=1e-3)
-            lhs, _ = radial_instability_witness(c, F)
+            lhs, _ = radial_instability_witness(c, F, step=1e-3)
             vals.append(lhs / abs(sol.t0))
         assert max(vals) - min(vals) <= 1e-8 * max(vals)
 
@@ -186,7 +175,7 @@ class TestRadialWitness:
         ratios = []
         rhs_vals = []
         for c in (1.0, 2.0, 4.0, 8.0):
-            lhs, rhs = radial_instability_witness(c, F)
+            lhs, rhs = radial_instability_witness(c, F, step=1e-3)
             rhs_vals.append(rhs)
             ratios.append(rhs / lhs)
         assert all(b < a for a, b in zip(rhs_vals, rhs_vals[1:]))
@@ -219,7 +208,7 @@ class TestSecondVariationDeficit:
         for _ in range(12):
             a = rng.uniform(0.05, 0.8)
             b = rng.uniform(a + 0.1, 0.95)
-            lhs, rhs = radial_instability_witness(0.05, SmoothBump(a, b))
+            lhs, rhs = radial_instability_witness(0.05, SmoothBump(a, b), step=1e-3)
             assert rhs - lhs >= -1e-8
 
     def test_large_slope_radial_witness_is_negative(self):
@@ -333,40 +322,40 @@ class TestSteklov:
     )
     def test_matches_dense_generalized_eigensolve(self, c, R, num_r, num_phi):
         oracle = self._dense_min_quotient(c, R, num_r, num_phi)
-        lam = steklov_min_quotient(c, R, num_r=num_r, num_phi=num_phi)
+        lam = steklov_min_quotient(c, R, num_r=num_r, num_phi=num_phi, step=1e-3)
         assert abs(lam / oracle - 1.0) <= 1e-10, (lam, oracle)
 
     def test_radial_grid_of_a_million_cells(self):
         # no radial array is built: 2^20 cells cost what 256 do, and the
         # fine radial grid leaves the angular error of 513 nodes
-        lam = steklov_min_quotient(0.2, 32.0, num_r=2**20 + 1, num_phi=513)
+        lam = steklov_min_quotient(0.2, 32.0, num_r=2**20 + 1, num_phi=513, step=1e-3)
         assert abs(lam - annulus_steklov_quotient(0.2, 32.0)) <= 1e-7
 
-    @pytest.mark.parametrize("c", [0.2, 1.0])
+    @pytest.mark.parametrize("c", [0.2, 1.0, 5.0])
     def test_report_reuses_its_solution(self, monkeypatch, c):
+        # a solution built with the library default serves both reports,
+        # which return the bits they build for themselves
         lam = steklov_min_quotient(c, 32.0)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return symmetric_solution(*args, **kwargs)
-
-        monkeypatch.setattr(stability, "symmetric_solution", counted)
-        assert stability_margin(c, with_steklov=True).steklov_lambda == lam
-        assert len(calls) == 1
+        rep = stability_margin(c)
+        sol = symmetric_solution(c)
+        monkeypatch.setattr(ode, "symmetric_solution", None)
+        assert steklov_min_quotient(c, 32.0, sol=sol) == lam
+        assert stability_margin(c, sol=sol) == rep
 
     def test_given_solution_is_used_and_checked(self, monkeypatch):
         sol = symmetric_solution(0.2, step=1e-3)
-        lam = steklov_min_quotient(0.2, 32.0)
-        rep = stability_margin(0.2)
-        monkeypatch.setattr(stability, "symmetric_solution", None)
-        assert steklov_min_quotient(0.2, 32.0, sol=sol) == lam
-        assert stability_margin(0.2, sol=sol) == rep
-        for c, step in ((0.3, 1e-3), (0.2, 2.0**-10)):
+        lam = steklov_min_quotient(0.2, 32.0, step=1e-3)
+        rep = stability_margin(0.2, step=1e-3)
+        monkeypatch.setattr(ode, "symmetric_solution", None)
+        assert steklov_min_quotient(0.2, 32.0, step=1e-3, sol=sol) == lam
+        assert stability_margin(0.2, step=1e-3, sol=sol) == rep
+        # the default step is 2^-13, so a step-1e-3 solution needs its step named
+        for c, step in ((0.3, 1e-3), (0.2, 2.0**-10), (0.2, None)):
+            kwargs = {} if step is None else {"step": step}
             with pytest.raises(InvalidParameterError, match="given solution"):
-                steklov_min_quotient(c, 32.0, step=step, sol=sol)
+                steklov_min_quotient(c, 32.0, sol=sol, **kwargs)
             with pytest.raises(InvalidParameterError, match="given solution"):
-                stability_margin(c, step=step, sol=sol)
+                stability_margin(c, sol=sol, **kwargs)
 
     @pytest.mark.parametrize("R", [1e3, 1e6])
     def test_large_annulus_matches_series_oracle(self, R):
