@@ -2,7 +2,7 @@
 
 Constructs the symmetric one-homogeneous solution on the cone
 x4 = c |x| in R^4, classifies its stability, locates the critical slope
-by bisection, minimizes the positivity-penalized Dirichlet energy on
+by ITP root finding, minimizes the positivity-penalized Dirichlet energy on
 axisymmetric grids, audits the scale-invariant boundary-energy monitor,
 and certifies explicit sub- and supersolution barriers.
 """

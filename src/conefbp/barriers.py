@@ -34,6 +34,7 @@ BETA = -0.5
 DYADIC_OFFSETS = tuple(float(2**k) for k in range(2, 11))
 _SUB_POINTS = 400  # angles of the subharmonicity margin
 _SUB_PAD = 0.08  # its distance from the pole and from phi0
+_MAX_NUM = 2**20  # most sampled angles of an audit, 8 MiB per array
 
 __all__ = [
     "BarrierConfig",
@@ -153,8 +154,11 @@ def _super_window(config: BarrierConfig, sol, num: int = 2001):
 
 
 def _check_num(num):
-    if as_count(num, "num") < 2:
+    num = as_count(num, "num")
+    if num < 2:
         raise InvalidParameterError(f"need at least 2 sampled angles, got num = {num}")
+    if num > _MAX_NUM:
+        raise InvalidParameterError(f"num = {num} sampled angles is more than {_MAX_NUM}")
 
 
 def audit_pair(c: float, M: float, num: int = 2001, sol=None) -> BarrierReport:

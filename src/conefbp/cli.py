@@ -368,7 +368,7 @@ _COMMANDS = {
                 "c step out plot-data beta phi-max", {}),
     "phi0": (_cmd_phi0, "free boundary angle of the symmetric solution", "c step out", {}),
     "stability": (_cmd_stability, "stability margin at one slope", "c step out", {}),
-    "critical-c": (_cmd_critical_c, "bisect the critical slope", "step tol out lo hi",
+    "critical-c": (_cmd_critical_c, "locate the critical slope by ITP", "step tol out lo hi",
                    {"step": _SCAN_STEP}),
     "steklov": (_cmd_steklov, "discrete boundary Rayleigh quotient minimum", "c step grid out R",
                 {"c": 0.2, "grid": (257, 129)}),

@@ -31,6 +31,9 @@ from .quadrature import trapezoid_weights
 
 _CG_TOL = 1e-10
 _CG_MAX_ITER = 60000
+# Most nodes of a field, checked before anything is allocated: 2^22
+# (2048^2) nodes make 32 MiB per array on the grid.
+_MAX_NODES = 2**22
 
 __all__ = [
     "AxisymField",
@@ -75,8 +78,11 @@ class AxisymField:
 
 def make_field(nr, nphi, c, r_min=None) -> AxisymField:
     """Zero field on the uniform grid [r_min, 1] x [0, pi] for the cone of slope c >= 0."""
-    if as_count(nr, "nr") < 4 or as_count(nphi, "nphi") < 4:
+    nr, nphi = as_count(nr, "nr"), as_count(nphi, "nphi")
+    if nr < 4 or nphi < 4:
         raise InvalidParameterError("grid needs at least 4 nodes per direction")
+    if nr * nphi > _MAX_NODES:
+        raise InvalidParameterError(f"grid of {nr} x {nphi} nodes has more than {_MAX_NODES}")
     c = as_slope(c)
     if r_min is None:
         r_min = 1.0 / nr

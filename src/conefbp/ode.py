@@ -14,7 +14,7 @@ below the first node), carry dense cubic Hermite output, and verify
 themselves by mandatory step halving.  First zeros that sit
 exponentially close to the far pole are located in the stretched
 variable tau = log tan(phi/2), where the equation becomes the smooth
-u'' = -lam sech(tau)^2 u; that tail is integrated once, to tau = 37,
+u'' = -lam sech(tau)^2 u; that tail is integrated once, to tau = 20,
 and is a straight line beyond.  Both
 charts are linear, y'' = p y' - lam sigma y (p = -cot phi, sigma = 1
 on the angular grid; p = 0, sigma = sech^2 tau on the tail), so one
@@ -85,9 +85,10 @@ DEFAULT_STEP = 2.0**-13
 # centered-difference audit; the stretched-variable tail takes over there.
 PHI_CAP = 2.2
 _TAIL_STEP_FACTOR = 40.0
-# Far end of the tail.  Every double phi < pi has tau < 36.1, and beyond
-# 37 the curvature sech(tau)^2 < 3e-32 leaves u on its straight line.
-_TAIL_END = 37.0
+# Far end of the tail: the first integer tau at which 6 sech(tau)^2 < 2^-53
+# (|lam| <= 6 for beta in [-1, 2]), so from there on u is its own straight
+# line to double rounding.
+_TAIL_END = 20.0
 _HALVING_TOL = 1e-9
 # Most steps per block of RK4 step matrices in _run, a multiple of _SPAN.
 # Bounds the numpy temporaries of long runs: the stored run at the default
@@ -108,7 +109,7 @@ _MAX_STEPS = 2**20
 # 10 step); see _memoized.  A margin at step 1e-3 stores four: the
 # angular run's E and the tail's E, 96 bytes per step; the halving
 # rerun's pair polynomial, 160 bytes per pair step; and the grid's
-# -cos/sin, 8 bytes per node; 666,232 bytes in all.  Every later margin
+# -cos/sin, 8 bytes per node; 625,432 bytes in all.  Every later margin
 # at that step reuses them.  Admission stops at _MEMO_CAP bytes; nothing
 # is evicted.  The memo is shared by every caller in the process.  It
 # changes no bit of a result: only the halving rerun's last bits depend

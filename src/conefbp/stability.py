@@ -11,9 +11,10 @@ over axisymmetric F vanishing on the spherical ends of an annulus.  On a
 log-r grid the discrete quotient separates, so its exact minimum (a
 closed-form radial mode and one angular elimination) cross-checks the
 closed form.  A radial test function exhibits the loss of stability
-for large slopes, and the critical slope is bisected from the sign of
-the margin.  Every function here integrates its profiles at
-ode.DEFAULT_STEP unless given another step.
+for large slopes, and the critical slope is located by ITP (interpolate,
+truncate, project) root finding on the sign of the margin.  Every
+function here integrates its profiles at ode.DEFAULT_STEP unless given
+another step.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ __all__ = [
     "radial_instability_witness",
     "steklov_min_quotient",
 ]
+
+# Most angles of the Steklov grid, checked before anything is allocated;
+# its pivot loop takes about 0.2 s at 2^20.
+_MAX_NUM_PHI = 2**20
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,17 @@ def stability_margin(c, step=DEFAULT_STEP, sol=None) -> StabilityReport:
 
 
 def find_critical_c0(bracket, tol, step=DEFAULT_STEP, record=None) -> float:
-    """Bisect the stability margin sign change inside ``bracket``.
+    """Locate the stability margin sign change inside ``bracket`` by ITP.
 
     Requires margin > 0 at the low end and < 0 at the high end; each
-    margin evaluation is appended to ``record`` when a list is supplied.
+    margin evaluation is appended to ``record``, in order, when a list
+    is supplied.  ITP (Oliveira & Takahashi, ACM TOMS 47 (2020), art. 5;
+    kappa1 = 0.2 / (hi - lo), kappa2 = 2, n0 = 1) moves the regula falsi
+    point towards the midpoint by kappa1 (hi - lo)^2 and keeps it within
+    a radius of the midpoint that halves with every point, so the search
+    never takes more points than bisection plus one.  It stops once the
+    bracket is at most tol wide or two adjacent doubles, and returns the
+    bracket's midpoint.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 <= lo < hi and math.isfinite(tol) and tol > 0.0):
@@ -114,22 +126,40 @@ def find_critical_c0(bracket, tol, step=DEFAULT_STEP, record=None) -> float:
     r_hi = stability_margin(hi, step=step)
     if record is not None:
         record.extend([r_lo, r_hi])
-    if not (r_lo.margin > 0.0 > r_hi.margin):
-        raise InvalidBracketError(
-            f"margins at bracket ends do not straddle zero: {r_lo.margin}, {r_hi.margin}"
-        )
+    m_lo, m_hi = r_lo.margin, r_hi.margin
+    if not (m_lo > 0.0 > m_hi):
+        raise InvalidBracketError(f"margins at bracket ends do not straddle zero: {m_lo}, {m_hi}")
+    k1 = 0.2 / (hi - lo)
+    # point j (from 0) lies within radius / 2^j - (hi - lo) / 2 of the
+    # midpoint, radius = t 2^n the first such power >= hi - lo, so after
+    # n + 1 points the bracket is at most t wide.  A tol below the double
+    # spacing at hi counts as that spacing; doubling never raises, as
+    # (hi - lo) / tol or 2.0 ** n can
+    t = max(tol, math.ulp(hi))
+    radius = t
+    while radius < hi - lo:
+        radius *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         # a tol below the double spacing of the bracket leaves mid on an end
         if not lo < mid < hi:
             break
-        r = stability_margin(mid, step=step)
+        x = lo + (hi - lo) * (m_lo / (m_lo - m_hi))
+        # truncate towards the midpoint, never past it, then project onto the radius
+        x += math.copysign(min(k1 * (hi - lo) ** 2, abs(mid - x)), mid - x)
+        r = max(radius - 0.5 * (hi - lo), 0.0)
+        x = min(max(x, mid - r), mid + r)
+        radius *= 0.5
+        # a point rounded onto an end falls back to the midpoint
+        if not lo < x < hi:
+            x = mid
+        rep = stability_margin(x, step=step)
         if record is not None:
-            record.append(r)
-        if r.margin > 0.0:
-            lo = mid
+            record.append(rep)
+        if rep.margin > 0.0:
+            lo, m_lo = x, rep.margin
         else:
-            hi = mid
+            hi, m_hi = x, rep.margin
     return 0.5 * (lo + hi)
 
 
@@ -229,6 +259,8 @@ def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=DEFAULT_STEP, sol=No
         raise InvalidParameterError("annulus ratio R must be finite and at least 4")
     if as_count(num_r, "num_r") < 3 or as_count(num_phi, "num_phi") < 2:
         raise InvalidParameterError("annulus grid needs num_r >= 3 and num_phi >= 2")
+    if num_phi > _MAX_NUM_PHI:
+        raise InvalidParameterError(f"num_phi = {num_phi} is more than {_MAX_NUM_PHI} angles")
     sol = checked_solution(sol, c, step)
     n = num_r - 1
     h = 2.0 * math.log(R) / n

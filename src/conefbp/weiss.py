@@ -32,6 +32,10 @@ from .quadrature import trapezoid_weights
 
 __all__ = ["WeissTrace", "weiss", "weiss_trace", "rescale_field"]
 
+# Most samples of a trace (radii times the field's angles), checked before
+# anything is allocated: 32 MiB per array, as for a field of 2^22 nodes.
+_MAX_SAMPLES = 2**22
+
 
 @dataclass(frozen=True)
 class WeissTrace:
@@ -101,8 +105,14 @@ def weiss_trace(fld: AxisymField, num_radii: int = 16, r_lo=None, r_hi=None) -> 
     when the trace is non-decreasing); the homogeneity flag is set when
     the total variation stays within five grid spacings.
     """
-    if as_count(num_radii, "num_radii") < 4:
+    num_radii = as_count(num_radii, "num_radii")
+    if num_radii < 4:
         raise InvalidParameterError("trace needs at least 4 radii")
+    # the monitor samples a row of the field's angles at every radius
+    if num_radii * fld.shape[1] > _MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"{num_radii} radii of {fld.shape[1]} angles make more than {_MAX_SAMPLES} samples"
+        )
     if r_lo is None:
         r_lo = max(2.5 * fld.r_min, 0.05)
     if r_hi is None:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -183,6 +184,22 @@ class TestExitCodes:
     )
     def test_flag_the_subcommand_does_not_read(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "module,argv",
+        [
+            # unbounded, these would ask numpy for 931 GiB, 14.9 GiB and 14.9 GiB
+            ("grid", ["minimize", "--c", "0.1", "--grid", "1000000,1000000"]),
+            ("weiss", ["weiss", "--c", "0.3", "--grid", "16,16", "--radii", "2000000000"]),
+            ("stability", ["steklov", "--c", "0.2", "--grid", "65,2000000000"]),
+        ],
+    )
+    def test_oversized_counts_exit_before_allocating(self, monkeypatch, tmp_path, capsys, module, argv):
+        # the sizing module has no numpy, so only a bound checked first exits 2
+        monkeypatch.setattr(importlib.import_module(f"conefbp.{module}"), "np", None)
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "more than" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_pasting_angle_without_offset_rejected(self, tmp_path, capsys):

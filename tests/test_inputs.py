@@ -1,10 +1,12 @@
 """Typed errors for inputs that several modules share: counts and field values."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from conefbp import barriers, grid, stability
 from conefbp.barriers import admissible_parameter_search, audit_pair
 from conefbp.errors import InvalidParameterError
 from conefbp.grid import field_from_solution, make_field
@@ -35,6 +37,26 @@ def field16(sol01):
 )
 def test_non_integer_counts_rejected(field16, call):
     with pytest.raises(InvalidParameterError, match="must be an integer"):
+        call(field16)
+
+
+@pytest.mark.parametrize(
+    "module,call",
+    [
+        (grid, lambda fld: make_field(1_000_000, 1_000_000, 0.1)),
+        (grid, lambda fld: make_field(4, 2**20 + 1, 0.1)),
+        (importlib.import_module("conefbp.weiss"), lambda fld: weiss_trace(fld, num_radii=2**18 + 1)),
+        (stability, lambda fld: steklov_min_quotient(0.2, 8.0, num_phi=2**20 + 1)),
+        (barriers, lambda fld: audit_pair(0.1, 16.0, num=2**20 + 1)),
+        (barriers, lambda fld: admissible_parameter_search([0.1], num=2_000_000_000)),
+    ],
+    ids=["make_field", "make_field-thin", "weiss_trace", "steklov", "audit_pair", "search"],
+)
+def test_counts_bounded_before_allocation(monkeypatch, field16, module, call):
+    # without its numpy the module can allocate nothing: only a bound
+    # checked first raises the typed error
+    monkeypatch.setattr(module, "np", None)
+    with pytest.raises(InvalidParameterError, match="more than"):
         call(field16)
 
 

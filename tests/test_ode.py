@@ -455,16 +455,16 @@ class TestCoefficientMemo:
         stability_margin(0.4, step=1e-3)
         tau0 = ode.tau_of_phi(1e-3 * 2200)
         # 2,190 angular steps, the rerun's 2,195 pair steps, the 2,191 grid
-        # nodes and 909 tail steps
+        # nodes and 484 tail steps
         shapes = {
             ("angular", 1e-3, 2190): (3, 2, 2, 2190),
             ("pairs", 5e-4, 2195): (5, 2, 2, 2195),
             ("cot", 1e-3, 2190): (2191,),
-            ("tail", 40e-3, tau0, 909): (3, 2, 2, 909),
+            ("tail", 40e-3, tau0, 484): (3, 2, 2, 484),
         }
         assert {key: co.shape for key, co in ode._MEMO.items()} == shapes
         total = sum(v.nbytes for v in ode._MEMO.values())
-        assert total == 666_232 <= ode._MEMO_CAP
+        assert total == 625_432 <= ode._MEMO_CAP
         # multi-block runs (the default step and finer) never enter
         for step in (2.0**-13, 2.0**-14):
             stability_margin(0.4, step=step)

@@ -89,11 +89,24 @@ class TestStabilityMargin:
         signs = np.sign(margins)
         assert np.count_nonzero(signs[:-1] != signs[1:]) == 1
 
+    @pytest.mark.parametrize(
+        "c,ref",
+        # the margins of a tail integrated to tau = 37: past tau = 20 the
+        # tail is its own straight line to double rounding
+        [(10.0, -84724406672.2739), (20.0, -3.1914951885403197e43), (40.0, -6.213154658722404e173)],
+    )
+    def test_far_pole_margins_keep_the_long_tail_values(self, c, ref):
+        assert abs(stability_margin(c, step=1e-3).margin - ref) <= 1e-11 * abs(ref)
+
 
 class TestCriticalSlope:
     def test_bisection_anchor(self):
-        c0 = find_critical_c0((0.0, 10.0), 1e-6, step=1e-3)
+        # the benchmark's search: bisection takes 26 margins here, ITP's
+        # regula falsi side converges superlinearly on the smooth margin
+        record = []
+        c0 = find_critical_c0((0.0, 10.0), 1e-6, step=1e-3, record=record)
         assert abs(c0 - C0_ANCHOR) < 2e-6
+        assert len(record) <= 12
 
     def test_matches_series_oracle(self):
         c0 = find_critical_c0((0.0, 10.0), 1e-10, step=1e-3)
@@ -109,31 +122,62 @@ class TestCriticalSlope:
         assert stability_margin(c0 - 1e-3, step=1e-3).margin > 0.0
         assert stability_margin(c0 + 1e-3, step=1e-3).margin < 0.0
 
-    def test_record_collects_reports(self):
+    def test_record_collects_reports(self, monkeypatch):
+        # the record holds every margin evaluated, in evaluation order
+        evaluated = []
+
+        def counted(*args, **kwargs):
+            rep = stability_margin(*args, **kwargs)
+            evaluated.append(rep)
+            return rep
+
+        monkeypatch.setattr(stability, "stability_margin", counted)
         record = []
-        find_critical_c0((0.0, 2.0), 1e-2, step=1e-3, record=record)
-        assert len(record) >= 8
-        assert all(hasattr(r, "margin") for r in record)
+        tol = 1e-2
+        c0 = find_critical_c0((0.0, 2.0), tol, step=1e-3, record=record)
+        assert len(record) == len(evaluated) >= 3
+        assert all(r is e for r, e in zip(record, evaluated))
+        assert [r.c for r in record[:2]] == [0.0, 2.0]
+        # the last positive and last nonpositive margins bracket c0 within tol
+        lo = [r.c for r in record if r.margin > 0.0][-1]
+        hi = [r.c for r in record if r.margin <= 0.0][-1]
+        assert lo < c0 < hi and hi - lo <= tol
+        assert lo < C0_ANCHOR < hi
+
+    @pytest.mark.parametrize("bracket", [(0.0, 10.0), (0.3, 1.0), (0.0, 2.0)])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-10])
+    def test_at_most_bisection_plus_one(self, bracket, tol):
+        # bisection takes ceil(log2((hi - lo) / tol)) points after the two
+        # ends; ITP's projection onto its shrinking radius adds at most one
+        record = []
+        c0 = find_critical_c0(bracket, tol, step=1e-3, record=record)
+        assert len(record) <= math.ceil(math.log2((bracket[1] - bracket[0]) / tol)) + 3
+        assert abs(c0 - C0_ANCHOR) < max(tol, 2e-6)
 
     def test_tol_below_the_double_spacing_stops(self, monkeypatch):
         # at tol = 1e-300 the midpoint lands on a bracket end once the
-        # bracket is one ulp wide; the bisection must stop there
+        # bracket is one ulp wide; the search must stop there.  At the
+        # smallest subnormal tol, (hi - lo) / tol overflows, so ITP's radius
+        # must not be formed from it
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             if len(calls) > 200:
-                raise RuntimeError("bisection does not stop")
+                raise RuntimeError("search does not stop")
             return stability_margin(*args, **kwargs)
 
         monkeypatch.setattr(stability, "stability_margin", counted)
-        record = []
-        c0 = find_critical_c0((0.0, 10.0), 1e-300, step=1e-3, record=record)
-        assert abs(c0 - C0_ANCHOR) < 2e-6
-        # the last bracket is two adjacent doubles
-        lo = max(r.c for r in record if r.margin > 0.0)
-        hi = min(r.c for r in record if r.margin <= 0.0)
-        assert math.nextafter(lo, math.inf) == hi and c0 in (lo, hi)
+        for tol in (1e-300, math.ulp(0.0)):
+            record = []
+            c0 = find_critical_c0((0.0, 10.0), tol, step=1e-3, record=record)
+            assert abs(c0 - C0_ANCHOR) < 2e-6
+            # bisection takes 59 margins to two adjacent doubles from (0, 10)
+            assert len(record) <= 60
+            # the last bracket is two adjacent doubles
+            lo = max(r.c for r in record if r.margin > 0.0)
+            hi = min(r.c for r in record if r.margin <= 0.0)
+            assert math.nextafter(lo, math.inf) == hi and c0 in (lo, hi)
 
     def test_invalid_bracket(self):
         with pytest.raises(InvalidBracketError):
