@@ -148,14 +148,16 @@ def edge_apply(u, wr, wp_pad, out, scratch):
     For finite u this is bitwise the row-by-row form: each node adds and
     subtracts its edges in the same order, the accumulator starts at +0.0
     and so never becomes -0.0, and the +-0 of a row-crossing pair leaves
-    it unchanged.  ``out`` (C-contiguous, shaped like u) receives the
-    result; ``scratch`` is any float array of at least u.size entries.
+    it unchanged.  ``out`` is not filled: the first radial write stores
+    0.0 + d, which is the +0.0 start plus d to the bit, and row 0 is set
+    to +0.0.  ``out`` (C-contiguous, shaped like u) receives the result;
+    ``scratch`` is any float array of at least u.size entries.
     """
-    out.fill(0.0)
     d = scratch[: u.size - u.shape[1]].reshape(u.shape[0] - 1, u.shape[1])
     np.subtract(u[1:], u[:-1], out=d)
     d *= wr
-    out[1:] += d
+    np.add(d, 0.0, out=out[1:])
+    out[0] = 0.0
     out[:-1] -= d
     uf, of = u.reshape(-1), out.reshape(-1)
     e = scratch[: u.size - 1]

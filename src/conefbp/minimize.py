@@ -9,7 +9,10 @@ evaluated exactly on the discrete positivity mask.  The non-convex
 indicator is handled by continuation: a smoothstep ramp of width eps
 replaces chi, eps shrinks geometrically to a floor tied to the grid
 spacing, and each stage runs Jacobi-preconditioned projected gradient
-descent with the positivity projection u <- max(u, 0).  A final
+descent with the positivity projection u <- max(u, 0).  The scalings
+1/eps, (6/eps) cells and eta/diag are formed before a stage's sweep
+loop, so each sweep only multiplies, in place, with the bits of the
+allocating form.  A final
 sharpening pass truncates sub-tolerance values and applies one harmonic
 replacement on the positivity set.  The true energy is enforced to be
 non-increasing across stages (the step is halved on failure) and the
@@ -125,31 +128,39 @@ def _smoothstep(t):
 def _sweeps(u, eps, eta, wr2, wp2, diag_a, cells):
     """_INNER_ITERS projected-gradient sweeps from u at ramp width eps, rows [:-1] free.
 
-    Each sweep is grad = 2 A u + 6 t (1 - t) cells / eps with t = clip(u / eps,
-    0, 1), then u <- max(u - eta grad / diag, 0), evaluated in place in
-    buffers allocated once per call, in the operation order of that
-    formula, so the bits are those of the allocating form.  wr2 and wp2
-    (padded) are the doubled edge weights, so one edge_apply gives 2 A u.
+    Each sweep is grad = 2 A u + t (1 - t) ((6 / eps) cells) with
+    t = min(u (1 / eps), 1), then u <- max(u - grad (eta / diag), 0).  The
+    scalings 1 / eps, (6 / eps) cells and eta / diag are formed once per
+    call, so a sweep only multiplies; it runs in place in buffers
+    allocated once per call, in the operation order of that formula, so
+    the bits are those of the allocating form with t = clip(u (1 / eps),
+    0, 1).  wr2 and wp2 (padded) are the doubled edge weights, so one
+    edge_apply gives 2 A u.
     """
     # Hessian diagonal bound: 2A plus the ramp curvature 6/eps^2
-    diag = 2.0 * diag_a + (6.0 / (eps * eps)) * cells
-    cells_eps = cells / eps
+    step = eta / (2.0 * diag_a + (6.0 / (eps * eps)) * cells)
+    inv_eps = 1.0 / eps
+    cells6 = (6.0 / eps) * cells
     trial = u.copy()
     free_rows = trial[:-1]
     grad, ramp, rest = (np.empty_like(u) for _ in range(3))
+    grad_free = grad[:-1]
     scratch = np.empty(u.size)
     for _ in range(_INNER_ITERS):
         edge_apply(trial, wr2, wp2, out=grad, scratch=scratch)
-        np.divide(trial, eps, out=ramp)
-        np.clip(ramp, 0.0, 1.0, out=ramp)
+        np.multiply(trial, inv_eps, out=ramp)
+        # min(t, 1) gives the bits of clip(t, 0, 1): the iterate is never
+        # negative (the data are checked >= 0 and every update is
+        # projected), and where t is -0.0 the ramp term is a zero of either
+        # sign, which adds to grad without changing its bits because
+        # edge_apply's accumulator is never -0.0
+        np.minimum(ramp, 1.0, out=ramp)
         np.subtract(1.0, ramp, out=rest)
-        ramp *= 6.0
         ramp *= rest
-        ramp *= cells_eps
+        ramp *= cells6
         grad += ramp
-        grad *= eta
-        grad /= diag
-        free_rows -= grad[:-1]
+        grad *= step
+        free_rows -= grad_free
         np.maximum(free_rows, 0.0, out=free_rows)
     return trial
 

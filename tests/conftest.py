@@ -53,6 +53,21 @@ def edge_apply_slices(u, wr, wp):
     return out
 
 
+def dense_edge_form(shape, wr, wp):
+    """Matrix of the edge form with weights (wr, wp), assembled node by node in row-major order."""
+    nr, nphi = shape
+    a = np.zeros((nr * nphi, nr * nphi))
+    edges = [((i, j), (i + 1, j), wr[i, j]) for i in range(nr - 1) for j in range(nphi)]
+    edges += [((i, j), (i, j + 1), wp[i, j]) for i in range(nr) for j in range(nphi - 1)]
+    for p, q, w in edges:
+        k, m = p[0] * nphi + p[1], q[0] * nphi + q[1]
+        a[k, k] += w
+        a[m, m] += w
+        a[k, m] -= w
+        a[m, k] -= w
+    return a
+
+
 def annulus_steklov_quotient(c, R):
     """Exact minimum of the boundary Rayleigh quotient on (1/R, R), zero radial ends.
 

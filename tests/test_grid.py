@@ -19,7 +19,7 @@ from conefbp.grid import (
 )
 from conefbp.minimize import MinimizeConfig, energy, minimize
 from conefbp.weiss import weiss
-from conftest import edge_apply_slices
+from conftest import dense_edge_form, edge_apply_slices
 
 
 class TestDirichletSolve:
@@ -75,16 +75,7 @@ class TestDirichletSolve:
     @staticmethod
     def _dense_solve(f, wr, wp):
         # assemble the edge form node by node and solve its unknown block
-        nr, nphi = f.shape
-        a = np.zeros((nr * nphi, nr * nphi))
-        edges = [((i, j), (i + 1, j), wr[i, j]) for i in range(nr - 1) for j in range(nphi)]
-        edges += [((i, j), (i, j + 1), wp[i, j]) for i in range(nr) for j in range(nphi - 1)]
-        for p, q, w in edges:
-            k, m = p[0] * nphi + p[1], q[0] * nphi + q[1]
-            a[k, k] += w
-            a[m, m] += w
-            a[k, m] -= w
-            a[m, k] -= w
+        a = dense_edge_form(f.shape, wr, wp)
         fixed = f.dirichlet.ravel()
         u = np.where(fixed, f.values.ravel(), 0.0)
         u[~fixed] = np.linalg.solve(a[np.ix_(~fixed, ~fixed)], -a[np.ix_(~fixed, fixed)] @ u[fixed])

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conefbp.minimize import (
     minimize,
 )
 from conefbp.ode import symmetric_solution
-from conftest import edge_apply_slices
+from conftest import dense_edge_form, edge_apply_slices
 
 # the package exports the function minimize under the submodule's name
 minimize_module = importlib.import_module("conefbp.minimize")
@@ -289,13 +290,15 @@ def _minimize_reference(config, boundary):
     eta = minimize_module._STEP_SCALE
     halvings = 0
     for eps in config.schedule(peak):
-        diag = 2.0 * diag_a + (6.0 / (eps * eps)) * cells
+        inv_eps = 1.0 / eps
+        cells6 = (6.0 / eps) * cells
         while True:
+            step = eta / (2.0 * diag_a + (6.0 / (eps * eps)) * cells)
             trial = u.copy()
             for _ in range(minimize_module._INNER_ITERS):
-                t = np.clip(trial / eps, 0.0, 1.0)
-                grad = 2.0 * edge_apply_slices(trial, wr, wp) + 6.0 * t * (1.0 - t) * (cells / eps)
-                trial = np.where(free, np.maximum(trial - eta * grad / diag, 0.0), trial)
+                t = np.clip(trial * inv_eps, 0.0, 1.0)
+                grad = 2.0 * edge_apply_slices(trial, wr, wp) + t * (1.0 - t) * cells6
+                trial = np.where(free, np.maximum(trial - grad * step, 0.0), trial)
             if _energy(trial, wr, wp, cells, eps) <= _energy(u, wr, wp, cells, eps) + 1e-12:
                 u = trial
                 break
@@ -349,6 +352,16 @@ class TestBufferedDescent:
     def test_matches_allocating_reference_bitwise(self, c, nr, nphi):
         _assert_matches_reference(MinimizeConfig(c=c, nr=nr, nphi=nphi), _symmetric_boundary(c, nphi))
 
+    @pytest.mark.parametrize("nr,nphi", [(32, 32), (48, 40)])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 5.0])
+    def test_negative_zero_data_match_reference_bitwise(self, c, nr, nphi):
+        # -0.0 boundary zeros pass the data < 0 check and start -0.0 rows
+        # inside; the sweep's min(t, 1) must keep the bits of clip(t, 0, 1)
+        data = _symmetric_boundary(c, nphi)
+        data[data == 0.0] = -0.0
+        assert np.signbit(data).any()
+        _assert_matches_reference(MinimizeConfig(c=c, nr=nr, nphi=nphi), data)
+
     def test_step_halvings_match_reference(self, monkeypatch):
         # an oversized Jacobi step is rejected and halved until a stage descends
         monkeypatch.setattr(minimize_module, "_STEP_SCALE", 3.0)
@@ -393,3 +406,55 @@ class TestEdgeApplyCalls:
         with pytest.raises(ConvergenceFailureError):
             dirichlet_solve(f)
         assert counts == {"minimize": 0, "grid": 3 + 2 + 3}
+
+
+def _sweep_inputs(nr, nphi, c):
+    fld = make_field(nr, nphi, c)
+    wr, wp, cells = _weights(fld)
+    return fld, wr, wp, cells, edge_diag(wr, wp, fld.shape)
+
+
+def _run_sweeps(u, eps, eta, wr, wp, cells, diag_a):
+    return minimize_module._sweeps(u, eps, eta, 2.0 * wr, grid.pad_phi_weights(2.0 * wp), diag_a, cells)
+
+
+class TestSweeps:
+    def test_one_sweep_matches_dense_oracle(self, monkeypatch):
+        # one projected-gradient step on a field of mixed zeros and
+        # positives, some inside the ramp, against a dense assembly of A
+        monkeypatch.setattr(minimize_module, "_INNER_ITERS", 1)
+        nr, nphi, eps, eta = 7, 6, 0.3, 0.9
+        _, wr, wp, cells, diag_a = _sweep_inputs(nr, nphi, 0.7)
+        rng = np.random.default_rng(28)
+        u = rng.uniform(0.0, 2.0 * eps, (nr, nphi)) * (rng.random((nr, nphi)) < 0.6)
+        assert (u == 0.0).sum() >= 5 and ((u > 0.0) & (u < eps)).sum() >= 5
+        a = dense_edge_form((nr, nphi), wr, wp)
+        t = np.minimum(u / eps, 1.0)
+        grad = 2.0 * (a @ u.ravel()).reshape(nr, nphi) + t * (1.0 - t) * 6.0 * cells / eps
+        diag = 2.0 * np.diag(a).reshape(nr, nphi) + 6.0 * cells / eps**2
+        expected = u.copy()
+        expected[:-1] = np.maximum(u - eta * grad / diag, 0.0)[:-1]
+        out = _run_sweeps(u, eps, eta, wr, wp, cells, diag_a)
+        assert np.array_equal(out[-1], u[-1])
+        assert np.array_equal(out == 0.0, expected == 0.0)
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_no_allocation_per_sweep(self, monkeypatch):
+        # buffers are allocated before the loop, so 300 sweeps may raise
+        # the traced peak of zero sweeps only by the views and loop-counter
+        # ints a sweep creates (under 1 KB); one array allocated per sweep
+        # raises it by at least 63 x 64 doubles, 32 KB.  One sweep would not
+        # do as the baseline: its own temporaries would set its peak
+        fld, wr, wp, cells, diag_a = _sweep_inputs(64, 64, 1.0)
+        u = np.outer(fld.r, np.clip(np.cos(fld.phi), 0.0, None))
+        _run_sweeps(u, 0.1, 0.9, wr, wp, cells, diag_a)  # first-call caches are not the loop's
+        peaks = []
+        for iters in (0, 300):
+            monkeypatch.setattr(minimize_module, "_INNER_ITERS", iters)
+            tracemalloc.start()
+            try:
+                _run_sweeps(u, 0.1, 0.9, wr, wp, cells, diag_a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 0 <= peaks[1] - peaks[0] < 4096

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conefbp.errors import InvalidParameterError
 from conefbp.quadrature import simpson_uniform, trapezoid_weights
 
 
@@ -10,8 +11,20 @@ def test_simpson_uniform_polynomial_exact():
 
 
 def test_simpson_uniform_rejects_even_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         simpson_uniform(np.ones(4), 0.1)
+
+
+@pytest.mark.parametrize("y", [np.ones(0), np.ones(1), np.ones(2), 1.0])
+def test_simpson_uniform_rejects_short_inputs(y):
+    with pytest.raises(InvalidParameterError):
+        simpson_uniform(y, 0.1)
+
+
+@pytest.mark.parametrize("nodes", [[], [0.5], 0.5])
+def test_trapezoid_weights_rejects_short_grids(nodes):
+    with pytest.raises(InvalidParameterError):
+        trapezoid_weights(nodes)
 
 
 def test_trapezoid_weights_sum_to_length():
