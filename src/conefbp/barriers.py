@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, as_count, as_slope
+from .errors import InvalidParameterError, as_count, as_slope, require_finite
 from .grid import dirichlet_solve, make_field
 from .ode import checked_solution, symmetric_solution
 
@@ -114,11 +114,15 @@ def decomposition_terms(f, fp, phi, c, M):
     """The three displayed terms of d/dphi |grad_c v|^2 / 2 on the zero set.
 
     g = M - cos(phi) enters analytically; f'' is never differenced, the
-    profile equation eliminated it when the terms were derived.
+    profile equation eliminated it when the terms were derived.  c and M
+    follow BarrierConfig; f, f' not finite or phi outside (0, pi) raise
+    InvalidParameterError.
     """
-    f = np.asarray(f, dtype=float)
-    fp = np.asarray(fp, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    BarrierConfig(c=c, M=M)
+    f, fp, phi = (np.asarray(x, dtype=float) for x in (f, fp, phi))
+    require_finite(np.append(f, fp), "profile values and slopes")
+    if not np.all((0.0 < phi) & (phi < math.pi)):
+        raise InvalidParameterError("decomposition angles must lie in (0, pi)")
     one = 1.0 + c * c
     g = M - np.cos(phi)
     gp = np.sin(phi)

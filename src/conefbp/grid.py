@@ -375,8 +375,10 @@ def gradient_sq_field(field: AxisymField) -> np.ndarray:
     """Metric gradient magnitude squared at every node.
 
     Second-order differences, one-sided at the grid edges:
-    |grad_c u|^2 = u_r^2/(1+c^2) + u_phi^2/r^2.
+    |grad_c u|^2 = u_r^2/(1+c^2) + u_phi^2/r^2.  A field value that is
+    not finite raises InvalidParameterError.
     """
+    require_finite(field.values, "field values")
     ur, up = np.gradient(field.values, field.r, field.phi, edge_order=2)
     return ur**2 / (1.0 + field.c * field.c) + up**2 / field.r[:, None] ** 2
 

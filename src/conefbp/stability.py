@@ -208,12 +208,14 @@ def _check_radial_support(F, lo=0.02, hi=0.98):
 def radial_instability_witness(c, F, step=DEFAULT_STEP):
     """Surface and bulk integrals of the radial second-variation test.
 
-    Returns (lhs, rhs) with lhs the free-boundary surface integral of
-    H F^2 and rhs the metric Dirichlet integral of the radial extension
-    of F over the positivity cone, both by direct tensor quadrature in
-    spherical coordinates (4097 radii, 513 angles) with the flat volume
-    normalization of the variational inequality.  F' is F.deriv; an F
-    with support and without it raises InvalidTestFunctionError.
+    Returns (lhs, rhs): lhs, the free-boundary surface integral of H F^2,
+    is -2 pi t0 int F^2 dr, as H = H1/r meets the surface measure
+    r sin(phi0) dr dtheta and H1 sin(phi0) = -t0; rhs is the metric
+    Dirichlet integral of the radial extension of F over the positivity
+    cone (flat volume normalization), whose angular factor is
+    int_0^phi0 sin = 1 - t0.  The radial integrals are composite Simpson
+    on 4097 radii.  F' is F.deriv; an F with support and without it, or
+    with F or F' not finite there, raises InvalidTestFunctionError.
     """
     sol = symmetric_solution(c, step=step)
     peak = _check_radial_support(F)
@@ -223,16 +225,13 @@ def radial_instability_witness(c, F, step=DEFAULT_STEP):
         raise InvalidTestFunctionError("radial test function needs a deriv method")
     r = np.linspace(0.0, 1.0, 4097)
     fvals = np.asarray(F(r), dtype=float)
-    # lhs: H = H1/r against the flat surface measure r sin(phi0) dr dtheta
-    integrand = (sol.H1 / np.where(r == 0.0, 1.0, r)) * fvals**2 * (r * sol.sin_phi0) * 2.0 * math.pi
-    lhs = simpson_uniform(integrand, r[1] - r[0])
     fp = np.asarray(F.deriv(r), dtype=float)
-    phi = np.linspace(0.0, sol.phi0, 513)
-    radial = fp**2 / (1.0 + sol.c * sol.c) * r**2 * 2.0 * math.pi
-    rad_int = simpson_uniform(radial, r[1] - r[0])
-    ang_int = simpson_uniform(np.sin(phi), phi[1] - phi[0])
-    rhs = rad_int * ang_int
-    return float(lhs), float(rhs)
+    if not (np.all(np.isfinite(fvals)) and np.all(np.isfinite(fp))):
+        raise InvalidTestFunctionError("radial test function and its derivative must be finite on [0, 1]")
+    h = r[1] - r[0]
+    lhs = -2.0 * math.pi * sol.t0 * simpson_uniform(fvals**2, h)
+    rad_int = simpson_uniform(fp**2 / (1.0 + sol.c * sol.c) * r**2 * 2.0 * math.pi, h)
+    return float(lhs), float(rad_int * (1.0 - sol.t0))
 
 
 def steklov_min_quotient(c, R, num_r=257, num_phi=129, step=DEFAULT_STEP, sol=None) -> float:

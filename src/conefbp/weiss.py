@@ -47,23 +47,15 @@ class WeissTrace:
     homogeneity_flag: bool
 
 
-def _shell_integrand(fld: AxisymField) -> np.ndarray:
-    """Per-radius integrand I(r_i) of the bulk term (theta integrated out)."""
+def _cumulative_bulk(fld: AxisymField):
+    """Bulk integral of (|grad_c u|^2 + chi_{u>0}) dV over C_r at every grid ring r."""
     gsq = gradient_sq_field(fld)
     chi = (fld.values > 0.0).astype(float)
-    pw = trapezoid_weights(fld.phi)
-    one = math.sqrt(1.0 + fld.c * fld.c)
-    ang = ((gsq + chi) * np.sin(fld.phi)[None, :] * pw[None, :]).sum(axis=1)
-    return ang * fld.r**2 * 2.0 * math.pi * one
-
-
-def _cumulative_bulk(fld: AxisymField):
-    require_finite(fld.values, "field values")
-    integrand = _shell_integrand(fld)
     r = fld.r
-    # factor out the exact r'^2 growth: the quadrature of q(r') d(r'^3/3)
-    # is exact for one-homogeneous fields, whose q is constant
-    q = integrand / r**2
+    # the shell density q is the bulk integrand over its r'^2 growth; the
+    # quadrature of q(r') d(r'^3/3) is exact when q is constant (one-homogeneous fields)
+    q = ((gsq + chi) * (np.sin(fld.phi) * trapezoid_weights(fld.phi))).sum(axis=1)
+    q *= 2.0 * math.pi * math.sqrt(1.0 + fld.c * fld.c)
     cum = np.empty_like(r)
     cum[0] = q[0] * r[0] ** 3 / 3.0
     cum[1:] = cum[0] + np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(r**3) / 3.0)
@@ -87,14 +79,12 @@ def _weiss_at(fld: AxisymField, cum: np.ndarray, radii: np.ndarray) -> np.ndarra
     outside = ~((2.0 * fld.r_min < radii) & (radii < 1.0) & (radii <= fld.r[-1]))
     if outside.any():
         raise InvalidParameterError(f"radius {float(radii[outside][0])} outside the measurable range")
-    # interpolate the scale-free density 3 cum / r^3, exact on
-    # one-homogeneous fields where it is constant
-    bulk = np.interp(radii, fld.r, 3.0 * cum / fld.r**3) * radii**3 / 3.0
-    pw = trapezoid_weights(fld.phi)
-    one = math.sqrt(1.0 + fld.c * fld.c)
-    rows = _rows_at(fld, radii)
-    surf = (rows**2 * np.sin(fld.phi) * pw).sum(axis=1) * radii * radii * 2.0 * math.pi / one
-    return bulk / radii**3 - surf / radii**4
+    # the bulk term interpolates the scale-free cum / r^3, exact on
+    # one-homogeneous fields where it is constant; the surface term is
+    # the sphere's integral of u^2 with the r^2 of its measure taken out of r^-4
+    bulk = np.interp(radii, fld.r, cum / fld.r**3)
+    surf = (_rows_at(fld, radii) ** 2 * np.sin(fld.phi) * trapezoid_weights(fld.phi)).sum(axis=1)
+    return bulk - surf * (2.0 * math.pi / math.sqrt(1.0 + fld.c * fld.c)) / radii**2
 
 
 def weiss_trace(fld: AxisymField, num_radii: int = 16, r_lo=None, r_hi=None) -> WeissTrace:

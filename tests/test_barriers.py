@@ -103,6 +103,39 @@ class TestDecomposition:
             t1, t2, t3 = decomposition_terms(f, fp, p, c, M)
             assert abs(fd - 2.0 * (t1 + t2 + t3)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "f,fp,phi,c,M,match",
+        [
+            (1.0, 0.0, 0.0, 0.1, 1.0, "offset M"),  # g = 0 at the pole: NaN terms
+            (1.0, 0.0, 0.0, 0.1, 16.0, "angles"),  # a -inf third term
+            (1.0, 0.0, math.pi, 0.1, 16.0, "angles"),
+            (1.0, 0.0, math.nan, 0.1, 16.0, "angles"),
+            (1.0, 0.0, 0.5, math.nan, 16.0, "finite"),
+            (1.0, 0.0, 0.5, -0.1, 16.0, "cone slope"),
+            (1.0, 0.0, 0.5, 0.1, 0.5, "offset M"),  # g = M - cos(phi) <= 0 near the pole
+            (1.0, 0.0, 0.5, 0.1, math.inf, "finite"),
+            (math.nan, 0.0, 0.5, 0.1, 16.0, "finite"),
+            (1.0, math.inf, 0.5, 0.1, 16.0, "finite"),
+            ([1.0, math.nan], [0.0, 0.0], [0.5, 0.6], 0.1, 16.0, "finite"),
+        ],
+        ids=[
+            "M1-pole",
+            "pole",
+            "far-pole",
+            "nan-angle",
+            "nan-slope",
+            "negative-slope",
+            "M-below-1",
+            "inf-M",
+            "nan-f",
+            "inf-fp",
+            "nan-in-array",
+        ],
+    )
+    def test_invalid_input_rejected(self, f, fp, phi, c, M, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            decomposition_terms(f, fp, phi, c, M)
+
     def test_negative_margin_certifies(self, sol002):
         rep = audit_pair(0.02, 16.0, sol=sol002)
         assert rep.decomposition_margin < -1e-3

@@ -10,6 +10,7 @@ from conefbp.geometry import (
     is_minimizing,
     morgan_threshold,
 )
+from conefbp.quadrature import simpson_uniform
 
 
 def bisect_exponent(c, lo=0.0, hi=1.5):
@@ -80,6 +81,13 @@ class TestCapGeometry:
         cap = cap_geometry(phi0)
         residual = cap.areaV + cap.kappa * cap.boundary_length - 2.0 * math.pi
         assert abs(residual) <= 1e-10
+
+    @pytest.mark.parametrize("phi0", [0.3, math.pi / 2, 2.0, 2.8, 3.1])
+    def test_area_against_simpson(self, phi0):
+        # the closed form 2 pi (1 - cos phi0) against composite Simpson of
+        # sin on 2049 nodes, whose error here is at most 3.7e-13
+        area = 2.0 * math.pi * simpson_uniform(np.sin(np.linspace(0.0, phi0, 2049)), phi0 / 2048)
+        assert abs(cap_geometry(phi0).areaU - area) <= 1e-12
 
     @pytest.mark.parametrize("bad", [0.0, math.pi, -1.0, 4.0])
     def test_domain(self, bad):

@@ -9,7 +9,7 @@ import pytest
 from conefbp import barriers, grid, stability
 from conefbp.barriers import admissible_parameter_search, audit_pair
 from conefbp.errors import InvalidParameterError
-from conefbp.grid import field_from_solution, make_field
+from conefbp.grid import field_from_solution, gradient_sq_field, make_field
 from conefbp.minimize import MinimizeConfig, compare_to_symmetric, energy, free_boundary_angle, minimize
 from conefbp.stability import steklov_min_quotient
 from conefbp.weiss import rescale_field, weiss, weiss_trace
@@ -77,8 +77,17 @@ def test_numpy_integer_counts_accepted(field16):
         lambda fld: weiss_trace(fld),
         free_boundary_angle,
         lambda fld: rescale_field(fld, 0.5),
+        gradient_sq_field,
     ],
-    ids=["energy", "compare_to_symmetric", "weiss", "weiss_trace", "free_boundary_angle", "rescale_field"],
+    ids=[
+        "energy",
+        "compare_to_symmetric",
+        "weiss",
+        "weiss_trace",
+        "free_boundary_angle",
+        "rescale_field",
+        "gradient_sq_field",
+    ],
 )
 def test_non_finite_field_rejected(field16, audit, bad):
     values = field16.values.copy()

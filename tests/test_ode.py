@@ -442,8 +442,12 @@ class TestCoefficientMemo:
         monkeypatch.undo()
         monkeypatch.setattr(ode, "_MEMO", {})
         stability_margin(0.2, step=1e-3)
+        # the angular run, the halving rerun and the grid's -cot; the
+        # on-grid margin reads no comparison-profile tail
+        assert len(ode._MEMO) == 3
+        stability_margin(2.0, step=1e-3)
         stored = dict(ode._MEMO)
-        # the angular run, the halving rerun, the grid's -cot and the tail
+        # a far-pole margin adds the tail
         assert len(stored) == 4
         warm = stability_margin(c, step=1e-3)
         assert ode._MEMO.keys() == stored.keys()
@@ -453,15 +457,19 @@ class TestCoefficientMemo:
     def test_stays_under_its_cap(self, monkeypatch):
         monkeypatch.setattr(ode, "_MEMO", {})
         stability_margin(0.4, step=1e-3)
-        tau0 = ode.tau_of_phi(1e-3 * 2200)
-        # 2,190 angular steps, the rerun's 2,195 pair steps, the 2,191 grid
-        # nodes and 484 tail steps
+        # 2,190 angular steps, the rerun's 2,195 pair steps and the 2,191
+        # grid nodes; the on-grid margin builds no comparison-profile tail
         shapes = {
             ("angular", 1e-3, 2190): (3, 2, 2, 2190),
             ("pairs", 5e-4, 2195): (5, 2, 2, 2195),
             ("cot", 1e-3, 2190): (2191,),
-            ("tail", 40e-3, tau0, 484): (3, 2, 2, 484),
         }
+        assert {key: co.shape for key, co in ode._MEMO.items()} == shapes
+        assert sum(v.nbytes for v in ode._MEMO.values()) == 578_968
+        assert beta_half_profile(0.4, step=1e-3)._tail is None
+        # a far-pole margin adds the tail's 484 steps
+        stability_margin(2.0, step=1e-3)
+        shapes[("tail", 40e-3, ode.tau_of_phi(1e-3 * 2200), 484)] = (3, 2, 2, 484)
         assert {key: co.shape for key, co in ode._MEMO.items()} == shapes
         total = sum(v.nbytes for v in ode._MEMO.values())
         assert total == 625_432 <= ode._MEMO_CAP
@@ -626,6 +634,20 @@ class TestBetaHalfProfile:
             g = beta_half_profile(c, step=1e-3)
             assert g.derivs[0] >= 0.0
             assert g.derivs[0] < 2e-3
+
+    @pytest.mark.parametrize("step", [1e-3, DEFAULT_STEP])
+    @pytest.mark.parametrize("c", [0.0, 0.3, 2.0, 10.0, 53.0])
+    def test_tail_positive_and_nondecreasing(self, c, step):
+        # beta_half_profile audits the grid only and leaves the tail to
+        # convexity; this checks what that argument promises
+        g = integrate_profile(-0.5, c, ode.PHI_CAP, step=step)
+        _, u, up, _ = g._tail_nodes()
+        assert np.all(u > 0.0)
+        assert np.all(up >= -1e-12)
+        for tau in (ode.tau_of_phi(g.grid[-1]), 5.0, 20.0, 100.0, 700.0):
+            f, fp = g.value_and_deriv_at_tau(tau)
+            assert f > 0.0
+            assert fp >= -1e-12
 
     def test_positive_at_moderate_zero_angle(self, sol03):
         g = beta_half_profile(0.3)

@@ -205,6 +205,18 @@ class TestRadialWitness:
             lhs, _ = radial_instability_witness(c, F, step=1e-3)
             assert abs(lhs - 2.0 * math.pi * abs(sol.t0) * int_f2) < 1e-8 * max(lhs, 1e-3)
 
+    def test_bulk_integral_against_tensor_quadrature(self):
+        # the exact angular factor 1 - t0 against composite Simpson on 513
+        # angles, whose error is at most (pi/512)^4/180 = 7.9e-12 relative
+        F = SmoothBump(0.2, 0.9)
+        r = np.linspace(0.0, 1.0, 4097)
+        for c in (0.1, 2.0, 8.0):
+            sol = symmetric_solution(c, step=1e-3)
+            phi = np.linspace(0.0, sol.phi0, 513)
+            radial = simpson_uniform(F.deriv(r) ** 2 * r**2, r[1] - r[0]) * 2.0 * math.pi / (1.0 + c * c)
+            _, rhs = radial_instability_witness(c, F, step=1e-3)
+            assert abs(rhs - radial * simpson_uniform(np.sin(phi), phi[1] - phi[0])) <= 1e-11 * rhs
+
     def test_normalized_surface_integral_is_slope_invariant(self):
         F = SmoothBump(0.2, 0.9)
         vals = []
@@ -238,6 +250,24 @@ class TestRadialWitness:
         bump = SmoothBump(0.2, 0.9)
         with pytest.raises(InvalidTestFunctionError, match="deriv"):
             radial_instability_witness(0.3, lambda r: bump(r))
+
+    @pytest.mark.parametrize("bad", ["value", "deriv"])
+    def test_non_finite_function_rejected(self, bad):
+        # a NaN value on the support once slipped past the support check
+        # (a NaN peak compares false); an inf slope gave non-finite integrals
+        bump = SmoothBump(0.2, 0.9)
+
+        class Broken:
+            def __call__(self, r):
+                v = bump(r)
+                return np.where(v > 0.0, np.nan, v) if bad == "value" else v
+
+            def deriv(self, r):
+                d = bump.deriv(r)
+                return np.where(bump(r) > 0.0, np.inf, d) if bad == "deriv" else d
+
+        with pytest.raises(InvalidTestFunctionError, match="finite"):
+            radial_instability_witness(0.3, Broken(), step=1e-3)
 
 
 class TestSecondVariationDeficit:
