@@ -8,29 +8,24 @@ reproduce byte-identical primary artifacts; the run record is the only
 file carrying timing.  Exit codes: 0 success, 2 invalid arguments,
 3 numerical non-convergence.  Single reports integrate profiles at
 ode.DEFAULT_STEP (2^-13), the library's default; only the scans
-critical-c and sweep default to the coarser _SCAN_STEP.
+critical-c and sweep default to the coarser _SCAN_STEP.  Each handler
+imports the numerical modules it runs, so a command loads only those:
+morgan, --help and argument errors start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .barriers import BarrierConfig, admissible_parameter_search, supersolution_lift_check
 from .errors import ConvergenceFailureError, InvalidParameterError
 from .geometry import is_minimizing, morgan_threshold
-from .grid import field_from_solution, make_field, save_field_text
-from .minimize import MinimizeConfig, compare_to_symmetric, energy, minimize
-from .ode import DEFAULT_STEP, PHI_CAP, integrate_profile, symmetric_solution
-from .stability import find_critical_c0, stability_margin, steklov_min_quotient
-from .weiss import weiss_trace
 
 _SWEEP_COLUMNS = {
     "stability": ("c", "phi0", "H1", "margin", "stable"),
@@ -38,6 +33,9 @@ _SWEEP_COLUMNS = {
     "morgan": ("k", "c_threshold"),
     "minimize": ("c", "energy", "energy_gap", "fb_mean", "vertex_touch"),
 }
+# the modules a sweep point runs, imported before the pool starts so that
+# forked workers inherit them instead of each importing them
+_SWEEP_MODULES = {"stability": "stability", "phi0": "ode", "morgan": "", "minimize": "ode minimize"}
 # a typo in a sweep count must fail as an invalid argument, not as an allocation
 _MAX_SWEEP_POINTS = 100_000
 # default step of the scans, which integrate a profile pair per point
@@ -87,6 +85,8 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 def _cmd_profile(args, out):
+    from .ode import integrate_profile
+
     prof = integrate_profile(args.beta, args.c, args.phi_max, step=args.step)
     name = f"profile_beta{args.beta:g}_c{args.c:g}.txt"
     path = _write_artifact(out, name, prof.to_text().encode())
@@ -102,6 +102,8 @@ def _cmd_profile(args, out):
 
 
 def _cmd_phi0(args, out):
+    from .ode import symmetric_solution
+
     sol = symmetric_solution(args.c, step=args.step)
     payload = {"c": args.c, "phi0": sol.phi0, "t0": sol.t0, "H1": sol.H1}
     name = f"phi0_c{args.c:g}.json"
@@ -111,6 +113,8 @@ def _cmd_phi0(args, out):
 
 
 def _cmd_stability(args, out):
+    from .stability import stability_margin
+
     rep = stability_margin(args.c, step=args.step)
     payload = rep.to_dict()
     name = f"stability_c{args.c:g}.json"
@@ -123,6 +127,8 @@ def _cmd_stability(args, out):
 
 
 def _cmd_critical_c(args, out):
+    from .stability import find_critical_c0
+
     record = []
     c0 = find_critical_c0((args.lo, args.hi), args.tol, step=args.step, record=record)
     payload = {"lo": args.lo, "hi": args.hi, "tol": args.tol, "c0": c0}
@@ -136,6 +142,9 @@ def _cmd_critical_c(args, out):
 
 
 def _cmd_steklov(args, out):
+    from .ode import symmetric_solution
+    from .stability import stability_margin, steklov_min_quotient
+
     sol = symmetric_solution(args.c, step=args.step)
     lam = steklov_min_quotient(
         args.c, args.R, num_r=args.grid[0], num_phi=args.grid[1], step=args.step, sol=sol
@@ -150,6 +159,10 @@ def _cmd_steklov(args, out):
 
 def _minimize_against_symmetric(c, step, grid):
     """Minimize with the symmetric solution as data at r = 1; returns (result, reference field)."""
+    from .grid import field_from_solution
+    from .minimize import MinimizeConfig, minimize
+    from .ode import symmetric_solution
+
     sol = symmetric_solution(c, step=step)
     ref = field_from_solution(sol, grid[0], grid[1])
     # the reference grid ends at r = 1, so its last row is the boundary data
@@ -158,6 +171,9 @@ def _minimize_against_symmetric(c, step, grid):
 
 
 def _cmd_minimize(args, out):
+    from .grid import save_field_text
+    from .minimize import compare_to_symmetric, energy
+
     res, ref = _minimize_against_symmetric(args.c, args.step, args.grid)
     sup, gap, touch = compare_to_symmetric(res.field, reference=ref)
     payload = {
@@ -181,6 +197,10 @@ def _cmd_minimize(args, out):
 
 
 def _cmd_weiss(args, out):
+    from .grid import field_from_solution
+    from .ode import symmetric_solution
+    from .weiss import weiss_trace
+
     sol = symmetric_solution(args.c, step=args.step)
     fld = field_from_solution(sol, args.grid[0], args.grid[1])
     tr = weiss_trace(fld, num_radii=args.radii)
@@ -205,6 +225,9 @@ def _cmd_weiss(args, out):
 def _cmd_barriers(args, out):
     if args.M is None and args.phi2 is not None:
         raise InvalidParameterError("--phi2 sets the lift's pasting angle and needs --M")
+    from .barriers import BarrierConfig, admissible_parameter_search, supersolution_lift_check
+    from .ode import symmetric_solution
+
     if args.M is not None:
         sol = symmetric_solution(args.c)
         phi2 = args.phi2 if args.phi2 is not None else sol.phi0 + 0.1
@@ -252,12 +275,18 @@ def _sweep_point(task):
     name, value, args_dict = task
     try:
         if name == "stability":
+            from .stability import stability_margin
+
             return ("ok", _stability_row(stability_margin(value, step=args_dict["step"])))
         if name == "phi0":
+            from .ode import symmetric_solution
+
             sol = symmetric_solution(value, step=args_dict["step"])
             return ("ok", (value, sol.phi0))
         if name == "morgan":
             return ("ok", (int(value), morgan_threshold(int(value))))
+        from .minimize import compare_to_symmetric
+
         res, ref = _minimize_against_symmetric(value, args_dict["step"], args_dict["grid"])
         _, gap, touch = compare_to_symmetric(res.field, reference=ref)
         return ("ok", (value, res.energy, gap, res.fb_mean, touch))
@@ -283,12 +312,21 @@ def _cmd_sweep(args, out):
     swept = _SWEEP_COLUMNS[sub][0]
     if name != swept:
         raise InvalidParameterError(f"sweep {sub} runs over {swept}, not {name!r}")
-    # a bad shared grid or a non-integer k would fail or be truncated: reject it up front
-    if sub == "minimize":
-        make_field(*args.grid, 0.0)
+    # a bad shared step or grid would fail every point, a non-integer k
+    # would be truncated: reject them up front
     if sub == "morgan":
         for k in grid_values:
             morgan_threshold(float(k))
+    else:
+        from .ode import as_step
+
+        as_step(args.step)
+    if sub == "minimize":
+        from .grid import make_field
+
+        make_field(*args.grid, 0.0)
+    for module in _SWEEP_MODULES[sub].split():
+        importlib.import_module(f".{module}", __package__)
     header = _SWEEP_COLUMNS[sub] + ("status",)
     shared = {"step": args.step, "grid": args.grid}
     tasks = [(sub, v, shared) for v in grid_values]
@@ -332,7 +370,13 @@ def _parse_grid_spec(spec: str):
         return name.strip(), []
     if count == 1:
         return name.strip(), [start]
-    return name.strip(), list(np.linspace(start, stop, count))
+    # numpy.linspace's values, bit for bit, without importing numpy
+    spacing = (stop - start) / (count - 1)
+    if spacing == 0.0:  # zero or underflowed: scale before multiplying, as linspace does
+        values = [i / (count - 1) * (stop - start) + start for i in range(count - 1)]
+    else:
+        values = [i * spacing + start for i in range(count - 1)]
+    return name.strip(), values + [stop]
 
 
 def _grid_pair(text: str):
@@ -343,16 +387,18 @@ def _grid_pair(text: str):
         raise argparse.ArgumentTypeError("grid must be Nr,Nphi") from exc
 
 
-# every option, defined once; a subcommand takes the ones it names below
+# every option, defined once; a subcommand takes the ones it names below.
+# A None default of step or phi-max is filled in after parsing from
+# _ODE_DEFAULTS, so that only the commands that read them import ode
 _FLAGS = {
     "c": {"type": float, "default": 0.0},
-    "step": {"type": float, "default": DEFAULT_STEP},
+    "step": {"type": float, "default": None},
     "tol": {"type": float, "default": 1e-6},
     "grid": {"type": _grid_pair, "default": (128, 128)},
     "out": {"default": "out"},
     "plot-data": {"action": "store_true"},
     "beta": {"type": float, "default": 1.0},
-    "phi-max": {"type": float, "default": PHI_CAP},
+    "phi-max": {"type": float, "default": None},
     "lo": {"type": float, "default": 0.0},
     "hi": {"type": float, "default": 10.0},
     "R": {"type": float, "default": 32.0},
@@ -361,6 +407,9 @@ _FLAGS = {
     "phi2": {"type": float, "default": None},
     "k": {"type": int, "required": True},
 }
+
+# option dest -> the ode constant that is its default
+_ODE_DEFAULTS = {"step": "DEFAULT_STEP", "phi_max": "PHI_CAP"}
 
 # subcommand: (handler, help, options it reads, defaults that differ from _FLAGS)
 _COMMANDS = {
@@ -447,6 +496,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage()
         return 2
+    for dest, constant in _ODE_DEFAULTS.items():
+        if getattr(args, dest, 0.0) is None:
+            setattr(args, dest, getattr(importlib.import_module(".ode", __package__), constant))
     handler = _COMMANDS[args.command][0]
     start = time.perf_counter()
     try:

@@ -3,8 +3,6 @@
 import math
 import operator
 
-import numpy as np
-
 
 class InvalidParameterError(ValueError):
     """Input outside the documented domain of an operation."""
@@ -68,5 +66,8 @@ def as_slope(c):
 
 def require_finite(values, what):
     """Raise InvalidParameterError naming ``what`` unless every entry of ``values`` is finite."""
+    # imported here, so that the modules importing this one for its types need no numpy
+    import numpy as np
+
     if not np.all(np.isfinite(values)):
         raise InvalidParameterError(f"{what} must be finite")

@@ -73,7 +73,12 @@ def cap_geometry(phi0: float) -> CapGeometry:
 
 
 def _check_plane_dimension(k) -> int:
-    if not float(k).is_integer():
+    # float() would parse a string, and an int beyond the doubles overflows the threshold
+    try:
+        integral = not isinstance(k, (str, bytes)) and float(k).is_integer()
+    except OverflowError:
+        raise InvalidParameterError("plane dimension exceeds the largest double") from None
+    if not integral:
         raise InvalidParameterError(f"plane dimension must be an integer, got {k!r}")
     k = int(k)
     if k < 2:

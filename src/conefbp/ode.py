@@ -68,6 +68,7 @@ __all__ = [
     "PHI_CAP",
     "RadialProfile",
     "SymmetricSolution",
+    "as_step",
     "integrate_profile",
     "first_zero",
     "symmetric_solution",
@@ -522,6 +523,14 @@ class RadialProfile:
         return "\n".join(lines) + "\n"
 
 
+def as_step(step) -> float:
+    """``step`` as an angular step of integrate_profile: a float in (0, 1e-3]."""
+    step = float(step)
+    if not 0.0 < step <= 1e-3:
+        raise InvalidParameterError(f"step must lie in (0, 1e-3], got {step}")
+    return step
+
+
 def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> RadialProfile:
     """Integrate the separated equation on [10*step, phi_max].
 
@@ -535,15 +544,13 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
     beta = float(beta)
     c = as_slope(c)
     phi_max = float(phi_max)
-    step = float(step)
     if not -1.0 <= beta <= 2.0:
         raise InvalidParameterError(f"homogeneity exponent must lie in [-1, 2], got {beta}")
     if not math.isfinite(phi_max):
         raise InvalidParameterError(f"phi_max must be finite, got {phi_max}")
     if phi_max >= math.pi:
         raise PoleCollisionError(f"phi_max must stay below pi, got {phi_max}")
-    if not 0.0 < step <= 1e-3:
-        raise InvalidParameterError(f"step must lie in (0, 1e-3], got {step}")
+    step = as_step(step)
     n = _angular_steps(step, phi_max)
     if n > _MAX_STEPS:
         raise InvalidParameterError(f"step {step} takes {n} steps to phi_max, more than {_MAX_STEPS}")

@@ -124,7 +124,23 @@ class TestMorganThreshold:
         vals = [morgan_threshold(k) for k in range(3, 12)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("bad", [1, 0, -3])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            1,
+            0,
+            -3,
+            # beyond the largest double, where the threshold would overflow
+            pytest.param(10**400, id="10^400"),
+            pytest.param(2**1024 - 1, id="rounds-past-max-double"),
+            # float() would parse these
+            pytest.param("3", id="str"),
+            pytest.param(b"3", id="bytes"),
+            3.5,
+        ],
+    )
     def test_invalid_dimension(self, bad):
         with pytest.raises(InvalidParameterError):
             morgan_threshold(bad)
+        with pytest.raises(InvalidParameterError):
+            is_minimizing(bad, 0.1)
