@@ -33,9 +33,6 @@ _SWEEP_COLUMNS = {
     "morgan": ("k", "c_threshold"),
     "minimize": ("c", "energy", "energy_gap", "fb_mean", "vertex_touch"),
 }
-# the modules a sweep point runs, imported before the pool starts so that
-# forked workers inherit them instead of each importing them
-_SWEEP_MODULES = {"stability": "stability", "phi0": "ode", "morgan": "", "minimize": "ode minimize"}
 # a typo in a sweep count must fail as an invalid argument, not as an allocation
 _MAX_SWEEP_POINTS = 100_000
 # default step of the scans, which integrate a profile pair per point
@@ -318,15 +315,18 @@ def _cmd_sweep(args, out):
         for k in grid_values:
             morgan_threshold(float(k))
     else:
-        from .ode import as_step
+        from .ode import PHI_CAP, as_step
 
-        as_step(args.step)
+        # every point integrates its profiles up to PHI_CAP
+        as_step(args.step, PHI_CAP)
     if sub == "minimize":
         from .grid import make_field
 
         make_field(*args.grid, 0.0)
-    for module in _SWEEP_MODULES[sub].split():
-        importlib.import_module(f".{module}", __package__)
+    # the points' modules, imported before the pool starts so that forked
+    # workers inherit them instead of each importing them
+    if sub in ("stability", "minimize"):
+        importlib.import_module(f".{sub}", __package__)
     header = _SWEEP_COLUMNS[sub] + ("status",)
     shared = {"step": args.step, "grid": args.grid}
     tasks = [(sub, v, shared) for v in grid_values]
@@ -370,13 +370,9 @@ def _parse_grid_spec(spec: str):
         return name.strip(), []
     if count == 1:
         return name.strip(), [start]
-    # numpy.linspace's values, bit for bit, without importing numpy
-    spacing = (stop - start) / (count - 1)
-    if spacing == 0.0:  # zero or underflowed: scale before multiplying, as linspace does
-        values = [i / (count - 1) * (stop - start) + start for i in range(count - 1)]
-    else:
-        values = [i * spacing + start for i in range(count - 1)]
-    return name.strip(), values + [stop]
+    import numpy as np
+
+    return name.strip(), list(np.linspace(start, stop, count))
 
 
 def _grid_pair(text: str):

@@ -523,11 +523,18 @@ class RadialProfile:
         return "\n".join(lines) + "\n"
 
 
-def as_step(step) -> float:
-    """``step`` as an angular step of integrate_profile: a float in (0, 1e-3]."""
+def as_step(step, phi_max) -> float:
+    """``step`` as an angular step of integrate_profile up to ``phi_max``.
+
+    The step must be a float in (0, 1e-3] that takes between 8 and
+    _MAX_STEPS steps to ``phi_max``.
+    """
     step = float(step)
     if not 0.0 < step <= 1e-3:
         raise InvalidParameterError(f"step must lie in (0, 1e-3], got {step}")
+    n = _angular_steps(step, phi_max)
+    if n > _MAX_STEPS:
+        raise InvalidParameterError(f"step {step} takes {n} steps to phi_max, more than {_MAX_STEPS}")
     return step
 
 
@@ -550,10 +557,8 @@ def integrate_profile(beta, c, phi_max, step=DEFAULT_STEP, verify=True) -> Radia
         raise InvalidParameterError(f"phi_max must be finite, got {phi_max}")
     if phi_max >= math.pi:
         raise PoleCollisionError(f"phi_max must stay below pi, got {phi_max}")
-    step = as_step(step)
+    step = as_step(step, phi_max)
     n = _angular_steps(step, phi_max)
-    if n > _MAX_STEPS:
-        raise InvalidParameterError(f"step {step} takes {n} steps to phi_max, more than {_MAX_STEPS}")
     lam = beta * (beta + 1.0) / (1.0 + c * c)
     grid, f, fp = _rk4_angular(lam, step, phi_max)
     if verify:

@@ -5,11 +5,10 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from conefbp import cli, ode, stability
-from conefbp.cli import _json_bytes, _parse_grid_spec, _worker_count, main
+from conefbp.cli import _json_bytes, _worker_count, main
 from conefbp.ode import symmetric_solution
 from conefbp.stability import stability_margin, steklov_min_quotient
 
@@ -247,15 +246,16 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
 
-
     @pytest.mark.parametrize(
         "argv",
         [
             ["c=0:1:3", "phi0", "--step", "2e-3"],
             ["c=0:1:3", "stability", "--step", "0"],
             ["c=0:1:3", "minimize", "--step", "nan", "--grid", "16,16"],
+            # more steps to PHI_CAP than an integration takes
+            ["c=0:1:3", "phi0", "--step", "1e-6"],
         ],
-        ids=["phi0-coarse", "stability-zero", "minimize-nan"],
+        ids=["phi0-coarse", "stability-zero", "minimize-nan", "phi0-too-many-steps"],
     )
     def test_sweep_step_checked_before_any_point(self, tmp_path, monkeypatch, argv):
         # every point would fail, which exits 3; the step rule of the integrator exits 2 first
@@ -358,19 +358,6 @@ class TestSweep:
         assert _worker_count(0) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(4) == 1
-
-    @pytest.mark.parametrize(
-        "start,stop,count",
-        [(0.0, 1.0, 3), (53.26, 53.29, 4), (-0.5, 1.0, 7), (0.1, 0.7, 4), (2.0, 9.0, 8), (3.0, 3.0, 5),
-         (0.0, 5e-324, 7), (0.0, 1e-320, 1000), (-1e308, 1e308, 5), (1e308, -1e308, 3)],
-    )
-    def test_grid_values_are_numpys_linspace(self, start, stop, count):
-        # the sweep spaces its values without numpy, bit for bit as linspace
-        # does, also where the step underflows or the span overflows
-        _, values = _parse_grid_spec(f"c={start!r}:{stop!r}:{count}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = np.linspace(start, stop, count)
-        assert np.array_equal(np.array(values).view(np.uint64), expected.view(np.uint64))
 
     def test_bad_spec(self, tmp_path):
         assert main(["sweep", "c=0:2", "stability", "--out", str(tmp_path)]) == 2

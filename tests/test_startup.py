@@ -45,11 +45,10 @@ def _cli(tmp_path, argv):
     "argv,rc",
     [
         (["morgan", "--k", "3"], 0),
-        (["sweep", "k=2:4:3", "morgan"], 0),
         (["--help"], 0),
         (["phi0", "--bogus"], 2),
     ],
-    ids=["morgan", "morgan-sweep", "help", "usage-error"],
+    ids=["morgan", "help", "usage-error"],
 )
 def test_command_starts_without_numpy(tmp_path, argv, rc):
     code, modules = _cli(tmp_path, argv)
