@@ -8,14 +8,17 @@ reproduce byte-identical primary artifacts; the run record is the only
 file carrying timing.  Exit codes: 0 success, 2 invalid arguments,
 3 numerical non-convergence.  Single reports integrate profiles at
 ode.DEFAULT_STEP (2^-13), the library's default; only the scans
-critical-c and sweep default to the coarser _SCAN_STEP.  Each handler
+critical-c and sweep default to the coarser _SCAN_STEP.  A sweep row
+holds values of the JSON report its subcommand writes.  Each handler
 imports the numerical modules it runs, so a command loads only those:
-morgan, --help and argument errors start without numpy.
+morgan, --help and argument errors start without numpy.  An artifact
+that cannot be written is an invalid argument.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import math
@@ -27,12 +30,6 @@ from . import __version__
 from .errors import ConvergenceFailureError, InvalidParameterError
 from .geometry import is_minimizing, morgan_threshold
 
-_SWEEP_COLUMNS = {
-    "stability": ("c", "phi0", "H1", "margin", "stable"),
-    "phi0": ("c", "phi0"),
-    "morgan": ("k", "c_threshold"),
-    "minimize": ("c", "energy", "energy_gap", "fb_mean", "vertex_touch"),
-}
 # a typo in a sweep count must fail as an invalid argument, not as an allocation
 _MAX_SWEEP_POINTS = 100_000
 # default step of the scans, which integrate a profile pair per point
@@ -43,16 +40,23 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
+@contextlib.contextmanager
+def _artifact_path(out_dir, name):
+    """The path of ``name`` in the created ``out_dir``; an OSError in the block is an invalid argument."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield os.path.join(out_dir, name)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {name}: {exc}") from None
+
+
 def _write_artifact(out_dir, name, payload: bytes) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "wb") as fh:
+    with _artifact_path(out_dir, name) as path, open(path, "wb") as fh:
         fh.write(payload)
     return path
 
 
 def _append_record(out_dir, command, params, outputs, wall) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     record = {
         "command": command,
         "params": params,
@@ -60,8 +64,15 @@ def _append_record(out_dir, command, params, outputs, wall) -> None:
         "outputs": outputs,
         "wall_seconds": wall,
     }
-    with open(os.path.join(out_dir, "run_records.jsonl"), "a") as fh:
+    with _artifact_path(out_dir, "run_records.jsonl") as path, open(path, "a") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _emit(out, name, payload, line):
+    """Write ``payload`` as the JSON artifact ``name`` and print ``line``: a handler's result."""
+    _write_artifact(out, name, _json_bytes(payload))
+    print(line)
+    return payload, [name]
 
 
 def _fmt(x) -> str:
@@ -79,6 +90,62 @@ def _csv_bytes(header, rows) -> bytes:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def _phi0_report(args):
+    from .ode import symmetric_solution
+
+    sol = symmetric_solution(args.c, step=args.step)
+    return {"c": args.c, "phi0": sol.phi0, "t0": sol.t0, "H1": sol.H1}
+
+
+def _stability_report(args):
+    from .stability import stability_margin
+
+    return stability_margin(args.c, step=args.step).to_dict()
+
+
+def _morgan_report(args):
+    thr = morgan_threshold(args.k)
+    return {"k": args.k, "c_threshold": thr, "is_minimizing_at_threshold": is_minimizing(args.k, thr)}
+
+
+def _minimize_report(args, fields=None):
+    """Minimize from the symmetric solution's data at r = 1; the field goes to ``fields`` if given."""
+    from .grid import field_from_solution
+    from .minimize import MinimizeConfig, compare_to_symmetric, energy, minimize
+    from .ode import symmetric_solution
+
+    sol = symmetric_solution(args.c, step=args.step)
+    ref = field_from_solution(sol, *args.grid)
+    # the reference grid ends at r = 1, so its last row is the boundary data
+    res = minimize(MinimizeConfig(c=args.c, nr=args.grid[0], nphi=args.grid[1]), ref.values[-1])
+    sup, gap, touch = compare_to_symmetric(res.field, reference=ref)
+    if fields is not None:
+        fields.append(res.field)
+    return {
+        "c": args.c,
+        "grid": list(args.grid),
+        "energy": res.energy,
+        "energy_reference": energy(ref),
+        "energy_gap": gap,
+        "sup_distance": sup,
+        "fb_mean": res.fb_mean,
+        "fb_spread": res.fb_spread,
+        "fb_angles": [[r, a] for r, a in res.fb_angle_per_radius],
+        "vertex_touch": touch,
+    }
+
+
+# sweepable subcommand: (report, which gives the JSON payload the subcommand
+# writes; the payload keys of a sweep row, the swept name first; the module
+# its points run, imported before the pool forks)
+_SWEEPS = {
+    "stability": (_stability_report, ("c", "phi0", "H1", "margin", "stable"), "stability"),
+    "phi0": (_phi0_report, ("c", "phi0"), "ode"),
+    "morgan": (_morgan_report, ("k", "c_threshold"), "geometry"),
+    "minimize": (_minimize_report, ("c", "energy", "energy_gap", "fb_mean", "vertex_touch"), "minimize"),
+}
 
 
 def _cmd_profile(args, out):
@@ -99,28 +166,15 @@ def _cmd_profile(args, out):
 
 
 def _cmd_phi0(args, out):
-    from .ode import symmetric_solution
-
-    sol = symmetric_solution(args.c, step=args.step)
-    payload = {"c": args.c, "phi0": sol.phi0, "t0": sol.t0, "H1": sol.H1}
-    name = f"phi0_c{args.c:g}.json"
-    _write_artifact(out, name, _json_bytes(payload))
-    print(f"phi0(c={args.c:g}) = {sol.phi0:.10f}")
-    return payload, [name]
+    payload = _phi0_report(args)
+    return _emit(out, f"phi0_c{args.c:g}.json", payload, f"phi0(c={args.c:g}) = {payload['phi0']:.10f}")
 
 
 def _cmd_stability(args, out):
-    from .stability import stability_margin
-
-    rep = stability_margin(args.c, step=args.step)
-    payload = rep.to_dict()
-    name = f"stability_c{args.c:g}.json"
-    _write_artifact(out, name, _json_bytes(payload))
-    print(
-        f"stability(c={args.c:g}): margin={rep.margin:+.6e} -> "
-        + ("stable" if rep.stable else "unstable")
-    )
-    return payload, [name]
+    payload = _stability_report(args)
+    verdict = "stable" if payload["stable"] else "unstable"
+    line = f"stability(c={args.c:g}): margin={payload['margin']:+.6e} -> {verdict}"
+    return _emit(out, f"stability_c{args.c:g}.json", payload, line)
 
 
 def _cmd_critical_c(args, out):
@@ -128,14 +182,13 @@ def _cmd_critical_c(args, out):
 
     record = []
     c0 = find_critical_c0((args.lo, args.hi), args.tol, step=args.step, record=record)
+    columns = _SWEEPS["stability"][1]
+    rows = [tuple(rep.to_dict()[col] for col in columns) for rep in record]
+    _write_artifact(out, "critical_c_trace.csv", _csv_bytes(columns, rows))
     payload = {"lo": args.lo, "hi": args.hi, "tol": args.tol, "c0": c0}
-    name = "critical_c.json"
-    _write_artifact(out, name, _json_bytes(payload))
-    rows = [_stability_row(r) for r in record]
-    csv_name = "critical_c_trace.csv"
-    _write_artifact(out, csv_name, _csv_bytes(_SWEEP_COLUMNS["stability"], rows))
-    print(f"critical slope c0 = {c0:.8f} ({len(record)} margin evaluations)")
-    return payload, [name, csv_name]
+    line = f"critical slope c0 = {c0:.8f} ({len(record)} margin evaluations)"
+    _emit(out, "critical_c.json", payload, line)
+    return payload, ["critical_c.json", "critical_c_trace.csv"]
 
 
 def _cmd_steklov(args, out):
@@ -148,48 +201,24 @@ def _cmd_steklov(args, out):
     )
     rep = stability_margin(args.c, step=args.step, sol=sol)
     payload = {"c": args.c, "R": args.R, "lambda": lam, "closed_form": rep.ratio}
-    name = f"steklov_c{args.c:g}_R{args.R:g}.json"
-    _write_artifact(out, name, _json_bytes(payload))
-    print(f"steklov(c={args.c:g}, R={args.R:g}) = {lam:.8f} (closed form {rep.ratio:.8f})")
-    return payload, [name]
-
-
-def _minimize_against_symmetric(c, step, grid):
-    """Minimize with the symmetric solution as data at r = 1; returns (result, reference field)."""
-    from .grid import field_from_solution
-    from .minimize import MinimizeConfig, minimize
-    from .ode import symmetric_solution
-
-    sol = symmetric_solution(c, step=step)
-    ref = field_from_solution(sol, grid[0], grid[1])
-    # the reference grid ends at r = 1, so its last row is the boundary data
-    res = minimize(MinimizeConfig(c=c, nr=grid[0], nphi=grid[1]), ref.values[-1])
-    return res, ref
+    line = f"steklov(c={args.c:g}, R={args.R:g}) = {lam:.8f} (closed form {rep.ratio:.8f})"
+    return _emit(out, f"steklov_c{args.c:g}_R{args.R:g}.json", payload, line)
 
 
 def _cmd_minimize(args, out):
     from .grid import save_field_text
-    from .minimize import compare_to_symmetric, energy
 
-    res, ref = _minimize_against_symmetric(args.c, args.step, args.grid)
-    sup, gap, touch = compare_to_symmetric(res.field, reference=ref)
-    payload = {
-        "c": args.c,
-        "grid": list(args.grid),
-        "energy": res.energy,
-        "energy_reference": energy(ref),
-        "energy_gap": gap,
-        "sup_distance": sup,
-        "fb_mean": res.fb_mean,
-        "fb_spread": res.fb_spread,
-        "fb_angles": [[r, a] for r, a in res.fb_angle_per_radius],
-        "vertex_touch": touch,
-    }
-    name = f"minimize_c{args.c:g}.json"
-    _write_artifact(out, name, _json_bytes(payload))
+    fields = []
+    payload = _minimize_report(args, fields)
     snap = f"minimize_c{args.c:g}_field.txt"
-    save_field_text(res.field, os.path.join(out, snap))
-    print(f"minimize(c={args.c:g}): energy={res.energy:.8f} gap={gap:+.3e} fb={res.fb_mean}")
+    with _artifact_path(out, snap) as path:
+        save_field_text(fields[0], path)
+    name = f"minimize_c{args.c:g}.json"
+    line = (
+        f"minimize(c={args.c:g}): energy={payload['energy']:.8f} "
+        f"gap={payload['energy_gap']:+.3e} fb={payload['fb_mean']}"
+    )
+    _emit(out, name, payload, line)
     return payload, [name, snap]
 
 
@@ -211,11 +240,8 @@ def _cmd_weiss(args, out):
         "variation": float(tr.values.max() - tr.values.min()),
     }
     jname = f"weiss_c{args.c:g}.json"
-    _write_artifact(out, jname, _json_bytes(payload))
-    print(
-        f"weiss(c={args.c:g}): variation={payload['variation']:.3e} "
-        f"homogeneous={tr.homogeneity_flag}"
-    )
+    line = f"weiss(c={args.c:g}): variation={payload['variation']:.3e} homogeneous={tr.homogeneity_flag}"
+    _emit(out, jname, payload, line)
     return payload, [name, jname]
 
 
@@ -245,50 +271,25 @@ def _cmd_barriers(args, out):
         payload = {"c": args.c, "certified": cert is not None}
         if cert is not None:
             payload.update(cert.to_dict())
-    name = f"barriers_c{args.c:g}.json"
-    _write_artifact(out, name, _json_bytes(payload))
-    print(f"barriers(c={args.c:g}): {json.dumps(payload['checks'] if 'checks' in payload else payload, sort_keys=True)}")
-    return payload, [name]
+    shown = json.dumps(payload['checks'] if 'checks' in payload else payload, sort_keys=True)
+    return _emit(out, f"barriers_c{args.c:g}.json", payload, f"barriers(c={args.c:g}): {shown}")
 
 
 def _cmd_morgan(args, out):
-    thr = morgan_threshold(args.k)
-    payload = {
-        "k": args.k,
-        "c_threshold": thr,
-        "is_minimizing_at_threshold": is_minimizing(args.k, thr),
-    }
-    name = f"morgan_k{args.k}.json"
-    _write_artifact(out, name, _json_bytes(payload))
-    print(f"morgan(k={args.k}) threshold = {thr:.10f}")
-    return payload, [name]
-
-
-def _stability_row(rep):
-    return tuple(getattr(rep, col) for col in _SWEEP_COLUMNS["stability"])
+    payload = _morgan_report(args)
+    line = f"morgan(k={args.k}) threshold = {payload['c_threshold']:.10f}"
+    return _emit(out, f"morgan_k{args.k}.json", payload, line)
 
 
 def _sweep_point(task):
-    name, value, args_dict = task
+    """The CSV row of one sweep point: its report's columns, then its status."""
+    sub, args = task
+    report, columns, _ = _SWEEPS[sub]
     try:
-        if name == "stability":
-            from .stability import stability_margin
-
-            return ("ok", _stability_row(stability_margin(value, step=args_dict["step"])))
-        if name == "phi0":
-            from .ode import symmetric_solution
-
-            sol = symmetric_solution(value, step=args_dict["step"])
-            return ("ok", (value, sol.phi0))
-        if name == "morgan":
-            return ("ok", (int(value), morgan_threshold(int(value))))
-        from .minimize import compare_to_symmetric
-
-        res, ref = _minimize_against_symmetric(value, args_dict["step"], args_dict["grid"])
-        _, gap, touch = compare_to_symmetric(res.field, reference=ref)
-        return ("ok", (value, res.energy, gap, res.fb_mean, touch))
+        payload = report(args)
     except Exception as exc:  # per-point failures land in the row status
-        return (f"error: {exc}", None)
+        return (getattr(args, columns[0]),) + (None,) * (len(columns) - 1) + (f"error: {exc}",)
+    return tuple(payload[col] for col in columns) + ("ok",)
 
 
 def _worker_count(num_tasks) -> int:
@@ -304,16 +305,17 @@ def _worker_count(num_tasks) -> int:
 def _cmd_sweep(args, out):
     name, grid_values = _parse_grid_spec(args.spec)
     sub = args.subcommand
-    if sub not in _SWEEP_COLUMNS:
+    if sub not in _SWEEPS:
         raise InvalidParameterError(f"sweep does not support subcommand {sub!r}")
-    swept = _SWEEP_COLUMNS[sub][0]
-    if name != swept:
-        raise InvalidParameterError(f"sweep {sub} runs over {swept}, not {name!r}")
+    _, columns, module = _SWEEPS[sub]
+    if name != columns[0]:
+        raise InvalidParameterError(f"sweep {sub} runs over {columns[0]}, not {name!r}")
     # a bad shared step or grid would fail every point, a non-integer k
     # would be truncated: reject them up front
     if sub == "morgan":
         for k in grid_values:
-            morgan_threshold(float(k))
+            morgan_threshold(k)
+        grid_values = [int(k) for k in grid_values]
     else:
         from .ode import PHI_CAP, as_step
 
@@ -323,31 +325,21 @@ def _cmd_sweep(args, out):
         from .grid import make_field
 
         make_field(*args.grid, 0.0)
-    # the points' modules, imported before the pool starts so that forked
-    # workers inherit them instead of each importing them
-    if sub in ("stability", "minimize"):
-        importlib.import_module(f".{sub}", __package__)
-    header = _SWEEP_COLUMNS[sub] + ("status",)
-    shared = {"step": args.step, "grid": args.grid}
-    tasks = [(sub, v, shared) for v in grid_values]
+    # the points' module, imported before the pool starts so that forked
+    # workers inherit it instead of each importing it
+    importlib.import_module(f".{module}", __package__)
+    tasks = [(sub, argparse.Namespace(step=args.step, grid=args.grid, **{name: v})) for v in grid_values]
     workers = _worker_count(len(tasks))
     if workers > 1:
         # imported here: its ~18 ms import serves no other command
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            rows = list(pool.map(_sweep_point, tasks))
     else:
-        results = [_sweep_point(t) for t in tasks]
-    rows = []
-    failures = 0
-    for value, (status, row) in zip(grid_values, results):
-        if row is None:
-            failures += 1
-            rows.append(tuple([value] + [None] * (len(header) - 2) + [status]))
-        else:
-            rows.append(tuple(list(row) + [status]))
+        rows = [_sweep_point(t) for t in tasks]
+    failures = sum(row[-1] != "ok" for row in rows)
     csv_name = f"sweep_{sub}_{name}.csv"
-    _write_artifact(out, csv_name, _csv_bytes(header, rows))
+    _write_artifact(out, csv_name, _csv_bytes(columns + ("status",), rows))
     print(f"sweep {sub} over {name}: {len(rows)} rows, {failures} failures -> {csv_name}")
     payload = {"rows": len(rows), "failures": failures}
     if failures == len(rows) and rows:
@@ -437,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = subparsers.add_parser(name, help=help_text)
         if name == "sweep":
             p.add_argument("spec", help="grid spec c=start:stop:count (k=... for morgan)")
-            p.add_argument("subcommand", help="one of: " + ", ".join(sorted(_SWEEP_COLUMNS)))
+            p.add_argument("subcommand", help="one of: " + ", ".join(sorted(_SWEEPS)))
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(**defaults)
@@ -496,22 +488,21 @@ def main(argv=None) -> int:
         if getattr(args, dest, 0.0) is None:
             setattr(args, dest, getattr(importlib.import_module(".ode", __package__), constant))
     handler = _COMMANDS[args.command][0]
+    params = {
+        k: (list(v) if isinstance(v, tuple) else v)
+        for k, v in vars(args).items()
+        if k != "command"
+    }
     start = time.perf_counter()
     try:
-        payload, artifacts = handler(args, args.out)
+        _, artifacts = handler(args, args.out)
+        _append_record(args.out, args.command, params, artifacts, time.perf_counter() - start)
     except (InvalidParameterError, ValueError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
     except ConvergenceFailureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - start
-    params = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in vars(args).items()
-        if k != "command"
-    }
-    _append_record(args.out, args.command, params, artifacts, wall)
     return 0
 
 

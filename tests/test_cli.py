@@ -203,6 +203,38 @@ class TestExitCodes:
         assert "more than" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv,blocked",
+        [
+            # a file name past the file system's limit
+            (["morgan", "--k", "9" * 300], None),
+            # an --out that names a file
+            (["morgan", "--k", "3"], "out"),
+            (["minimize", "--c", "0.1", "--grid", "16,16", "--step", "1e-3"], "out"),
+            # a directory where the field snapshot or the run record goes
+            (["minimize", "--c", "0.1", "--grid", "16,16", "--step", "1e-3"], "minimize_c0.1_field.txt"),
+            (["morgan", "--k", "3"], "run_records.jsonl"),
+        ],
+        ids=["long-name", "morgan-out-file", "minimize-out-file", "field-snapshot", "run-record"],
+    )
+    def test_unwritable_artifact_exits_two(self, tmp_path, capsys, argv, blocked):
+        out = tmp_path / "out"
+        if blocked == "out":
+            out.write_text("")
+        else:
+            out.mkdir()
+            if blocked is not None:
+                (out / blocked).mkdir()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: cannot write ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        # no run record line was appended
+        if blocked == "out":
+            assert out.read_text() == ""
+        else:
+            assert not (out / "run_records.jsonl").is_file()
+
     def test_pasting_angle_without_offset_rejected(self, tmp_path, capsys):
         # phi2 sets the lift, which runs only with --M; the search would ignore it
         assert main(["barriers", "--c", "0.1", "--phi2", "2.5", "--out", str(tmp_path)]) == 2
@@ -306,6 +338,38 @@ class TestSweep:
             (csv,) = out.glob("sweep_*.csv")
             csvs.append(csv.read_bytes())
         assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize(
+        "sub,value,options",
+        [
+            ("phi0", "0.4", ["--step", "1e-3"]),
+            # phi0 on the angular grid, then beyond it
+            ("stability", "0.2", ["--step", "1e-3"]),
+            ("stability", "1.5", ["--step", "1e-3"]),
+            ("morgan", "5", []),
+            ("minimize", "0.1", ["--grid", "24,24", "--step", "1e-3"]),
+        ],
+        ids=["phi0", "stability-on-grid", "stability-beyond-grid", "morgan", "minimize"],
+    )
+    def test_row_holds_the_single_commands_report(self, tmp_path, sub, value, options):
+        param = "k" if sub == "morgan" else "c"
+        assert main([sub, f"--{param}", value] + options + ["--out", str(tmp_path / "one")]) == 0
+        (report,) = (tmp_path / "one").glob(f"{sub}_*.json")
+        payload = read_json(report)
+        spec = f"{param}={value}:{value}:1"
+        assert main(["sweep", spec, sub] + options + ["--out", str(tmp_path / "sweep")]) == 0
+        header, row = (tmp_path / "sweep" / f"sweep_{sub}_{param}.csv").read_text().splitlines()
+        columns, fields = header.split(","), row.split(",")
+        assert columns[0] == param and (columns[-1], fields[-1]) == ("status", "ok")
+
+        def rendered(v):
+            if v is None:
+                return "nan"
+            if isinstance(v, bool):
+                return "1" if v else "0"
+            return "%.17g" % v if isinstance(v, float) else str(v)
+
+        assert fields[:-1] == [rendered(payload[col]) for col in columns[:-1]]
 
     def test_missing_value_written_as_nan(self, tmp_path):
         # at c = 6 the minimizer has no free boundary angle on 0.2 <= r <= 0.8

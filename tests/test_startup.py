@@ -68,3 +68,13 @@ def test_phi0_loads_only_the_integrator(tmp_path):
     assert code == 0
     assert "conefbp.ode" in modules
     assert [m for m in ("grid", "minimize", "weiss", "barriers") if f"conefbp.{m}" in modules] == []
+
+
+def test_one_point_sweep_loads_only_the_integrator(tmp_path):
+    # one point runs in-process; a report table that imported every
+    # report's modules would load the minimizer for each sweep
+    code, modules = _cli(tmp_path, ["sweep", "c=0.3:0.3:1", "phi0"])
+    assert code == 0
+    assert "conefbp.ode" in modules
+    unwanted = ("stability", "grid", "minimize", "weiss", "barriers")
+    assert [m for m in unwanted if f"conefbp.{m}" in modules] == []
